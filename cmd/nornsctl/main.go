@@ -156,7 +156,7 @@ func taskReport(id uint64, st nornsctl.Stats) *metrics.Report {
 
 func main() {
 	socket := flag.String("socket", "/tmp/nornsctl.sock", "control socket path")
-	interval := flag.Duration("interval", 500*time.Millisecond, "poll interval for the watch command")
+	interval := flag.Duration("interval", 500*time.Millisecond, "redraw interval for the watch command")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (status, task-status, and the HTTP commands)")
 	httpBase := flag.String("http", "", "gateway base URL, e.g. http://127.0.0.1:9300 (required for export/import/drain/events)")
 	token := flag.String("token", "", "gateway bearer token (prefer -token-file: flags leak into ps output)")
@@ -190,18 +190,10 @@ func main() {
 		fmt.Println("pong")
 	case "status":
 		// One round trip serves both the text line and the structured
-		// report; older daemons without the latter fall back to Status.
+		// report.
 		st, err := c.StatusInfo()
 		if err != nil {
-			if *jsonOut {
-				log.Fatal(err)
-			}
-			s, ferr := c.Status()
-			if ferr != nil {
-				log.Fatal(ferr)
-			}
-			fmt.Println(s)
-			break
+			log.Fatal(err)
 		}
 		if *jsonOut {
 			if err := statusReport(st).Encode(os.Stdout); err != nil {
@@ -407,8 +399,8 @@ func main() {
 		}
 		fmt.Println()
 	case "watch":
-		// Live progress: poll the extended task status and redraw one
-		// line until the task terminates.
+		// Live progress: follow the task's pushed events and redraw one
+		// line at most every -interval until the task terminates.
 		if len(rest) < 1 {
 			log.Fatal("usage: watch TASK-ID")
 		}

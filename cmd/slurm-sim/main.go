@@ -33,11 +33,9 @@ import (
 	"github.com/ngioproject/norns-go/internal/workload"
 )
 
-// builtins maps -run selectors to built-in workflow submitters. "demo"
-// stays as a compatibility alias for tab3.
+// builtins maps -run selectors to built-in workflow submitters.
 var builtins = map[string]func(*slurm.Controller) ([]slurm.JobID, error){
 	"tab3":     submitTab3,
-	"demo":     submitTab3,
 	"openfoam": submitOpenFOAM,
 }
 

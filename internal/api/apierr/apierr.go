@@ -60,8 +60,12 @@ func New(api string, resp *proto.Response) *Error {
 }
 
 // Error renders like the historical string form, e.g.
-// "norns: NORNS_EAGAIN: 128 tasks in flight".
+// "norns: NORNS_EAGAIN: 128 tasks in flight", or "norns: NORNS_ETIMEOUT"
+// when the daemon sent no message.
 func (e *Error) Error() string {
+	if e.Msg == "" {
+		return fmt.Sprintf("%s: %s", e.API, e.Code)
+	}
 	return fmt.Sprintf("%s: %s: %s", e.API, e.Code, e.Msg)
 }
 

@@ -10,20 +10,22 @@
 // context, and Events streams every task transition the daemon
 // observes. The v1 calls (Submit, Wait, Error, Cancel) remain and keep
 // speaking the original single-op protocol.
+//
+// The package is a thin facade over internal/api/client, which it
+// shares with nornsctl: the connection, the event dispatcher, Stats,
+// and TaskHandle all live there.
 package norns
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"sync"
 	"time"
 
 	"github.com/ngioproject/norns-go/internal/api/apierr"
+	"github.com/ngioproject/norns-go/internal/api/client"
 	"github.com/ngioproject/norns-go/internal/proto"
 	"github.com/ngioproject/norns-go/internal/task"
-	"github.com/ngioproject/norns-go/internal/transport"
 )
 
 // Re-exported task kinds, mirroring NORNS_IOTASK_*.
@@ -66,24 +68,9 @@ func NewIOTask(kind task.Kind, input, output task.Resource) IOTask {
 	return IOTask{Kind: kind, Input: input, Output: output}
 }
 
-// Stats is the norns_stat_t completion report, extended with the
-// segmented transfer engine's live progress fields: polling a running
-// task reports bytes moved, segments done, and the observed rate.
-type Stats struct {
-	Status     task.Status
-	Err        string
-	TotalBytes int64
-	MovedBytes int64
-	// SizeErr reports a failed up-front size probe; TotalBytes is then an
-	// explicit 0 fallback rather than a measured value.
-	SizeErr string
-	// SegmentsTotal/SegmentsDone report the transfer plan's completion
-	// (0 total = unsegmented path).
-	SegmentsTotal uint64
-	SegmentsDone  uint64
-	// BandwidthBps is the task's observed transfer rate at poll time.
-	BandwidthBps float64
-}
+// Stats is the norns_stat_t completion report with the transfer
+// engine's live progress, cache, delta, and retry fields.
+type Stats = client.Stats
 
 // DataspaceInfo describes one dataspace visible to the caller.
 type DataspaceInfo struct {
@@ -106,54 +93,17 @@ var (
 	ErrPermission = apierr.ErrPermission
 	ErrTaskError  = apierr.ErrTaskError
 	ErrInternal   = apierr.ErrInternal
+	// ErrTimeout matches the error Wait returns when its timeout
+	// elapses first; apierr.IsRetryable accepts it.
+	ErrTimeout = apierr.ErrTimeout
+	// ErrCancelled is returned by TaskHandle.Err for cancelled tasks.
+	ErrCancelled = client.ErrCancelled
 )
-
-// ErrCancelled is returned by TaskHandle.Err for cancelled tasks.
-var ErrCancelled = errors.New("norns: task cancelled")
 
 // Client speaks the user protocol to a urd daemon.
 type Client struct {
-	conn *transport.Conn
-	pid  uint64
-
-	// v2 event-driven state: one dispatch goroutine drains the
-	// connection's push-event channel, resolving task handles and
-	// feeding Events subscribers.
-	dispatchOnce sync.Once
-	mu           sync.Mutex
-	handles      map[uint64]*TaskHandle // by task ID, open tasks only
-	sinks        map[uint64]*eventSink  // by subscription ID
-	// unclaimed parks events whose SubID has no sink yet: the daemon's
-	// pump can push a subscription's first events before the client has
-	// processed the OpSubscribe response carrying that SubID. Claimed
-	// (Events) or discarded (SubmitBatch, whose events route to handles
-	// by task ID) as soon as the subscribing RPC returns.
-	unclaimed    map[uint64][]TaskEvent
-	unclaimedIDs []uint64 // insertion order, for bounded eviction
-	// discarded remembers recently settled SubIDs whose later events
-	// route elsewhere (batch handles) or nowhere (ended Events
-	// streams), so they are dropped instead of endlessly re-parked.
-	discarded     map[uint64]struct{}
-	discardedRing []uint64 // bounded FIFO over discarded
-	// expectParked / expectSubs widen the parking bounds while combined
-	// submit+subscribe batches are in flight: each such batch can have
-	// every terminal event arrive before its response is processed, and
-	// none may be dropped — nor may its whole parked subscription be
-	// evicted by sibling batches racing alongside it — or a handle would
-	// never resolve. expectParked widens the per-subscription event cap;
-	// expectSubs widens the cross-subscription eviction cap (one extra
-	// unclaimed subscription per outstanding batch).
-	expectParked int
-	expectSubs   int
-	// dispatchDead marks the dispatcher as exited (connection gone):
-	// sinks claimed afterwards are closed immediately.
-	dispatchDead bool
-	dispatchDone chan struct{}
+	c *client.Client
 }
-
-// discardedCap bounds the settled-SubID memory; past it the oldest
-// entry is forgotten (its events then fall back to bounded parking).
-const discardedCap = 128
 
 // Dial connects to the daemon's user socket.
 func Dial(socket string) (*Client, error) {
@@ -162,25 +112,19 @@ func Dial(socket string) (*Client, error) {
 
 // DialNetwork connects over an explicit network ("unix" or "tcp").
 func DialNetwork(network, addr string) (*Client, error) {
-	conn, err := transport.Dial(network, addr)
+	c, err := client.Dial("norns", network, addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, pid: uint64(os.Getpid())}, nil
+	return &Client{c}, nil
 }
 
 // SetPID overrides the credential sent with requests; tests use it to
 // simulate multiple client processes from one test binary.
-func (c *Client) SetPID(pid uint64) { c.pid = pid }
+func (c *Client) SetPID(pid uint64) { c.c.SetPID(pid) }
 
 // Close tears the connection down.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// apiError converts a failed response into a typed error: the result
-// satisfies errors.Is against the sentinel for its status code.
-func apiError(resp *proto.Response) error {
-	return apierr.New("norns", resp)
-}
+func (c *Client) Close() error { return c.c.Close() }
 
 func specOf(t *IOTask) *proto.TaskSpec {
 	spec := new(proto.TaskSpec)
@@ -204,66 +148,27 @@ func fillSpec(t *IOTask, dst *proto.TaskSpec) {
 // Submit mirrors norns_submit: the task is queued asynchronously and its
 // ID is stored in t.
 func (c *Client) Submit(t *IOTask) error {
-	resp, err := c.conn.Call(context.Background(), &proto.Request{Op: proto.OpSubmit, PID: c.pid, Task: specOf(t)})
+	id, err := c.c.Submit(specOf(t))
 	if err != nil {
 		return err
 	}
-	if resp.Status != proto.Success {
-		return apiError(resp)
-	}
-	t.ID = resp.TaskID
+	t.ID = id
 	return nil
 }
 
-// ErrTimeout is returned by Wait when the timeout elapses first.
-var ErrTimeout = errors.New("norns: wait timed out")
-
 // Wait mirrors norns_wait(task, timeout): it blocks until the task
-// reaches a terminal state. timeout <= 0 waits forever.
+// reaches a terminal state. timeout <= 0 waits forever; otherwise an
+// error matching ErrTimeout reports that the timeout elapsed first.
 func (c *Client) Wait(t *IOTask, timeout time.Duration) error {
-	req := &proto.Request{Op: proto.OpWait, PID: c.pid, TaskID: t.ID, TimeoutMS: timeout.Milliseconds()}
-	resp, err := c.conn.Call(context.Background(), req)
-	if err != nil {
-		return err
-	}
-	switch resp.Status {
-	case proto.Success:
-		return nil
-	case proto.ETimeout:
-		return ErrTimeout
-	default:
-		return apiError(resp)
-	}
+	_, err := c.c.Wait(t.ID, timeout)
+	return err
 }
 
 // Error mirrors norns_error(task, stats): it fetches the task's current
 // statistics. A Failed task yields stats with Status == task.Failed and
 // a nil error — matching the C API, where the stats carry the failure.
 func (c *Client) Error(t *IOTask) (Stats, error) {
-	resp, err := c.conn.Call(context.Background(), &proto.Request{Op: proto.OpTaskStatus, PID: c.pid, TaskID: t.ID})
-	if err != nil {
-		return Stats{}, err
-	}
-	if resp.Stats == nil {
-		if resp.Status != proto.Success {
-			return Stats{}, apiError(resp)
-		}
-		return Stats{}, errors.New("norns: response without stats")
-	}
-	return statsOf(resp.Stats), nil
-}
-
-func statsOf(st *proto.TaskStats) Stats {
-	return Stats{
-		Status:        task.Status(st.Status),
-		Err:           st.Err,
-		TotalBytes:    st.TotalBytes,
-		MovedBytes:    st.MovedBytes,
-		SizeErr:       st.SizeErr,
-		SegmentsTotal: st.SegmentsTotal,
-		SegmentsDone:  st.SegmentsDone,
-		BandwidthBps:  st.BandwidthBps,
-	}
+	return c.c.Status(t.ID)
 }
 
 // Cancel mirrors norns_cancel: it requests the task's abortion. A
@@ -273,27 +178,14 @@ func statsOf(st *proto.TaskStats) Stats {
 // fails with NORNS_EBADREQUEST. The returned stats are the snapshot
 // taken right after the request was applied.
 func (c *Client) Cancel(t *IOTask) (Stats, error) {
-	resp, err := c.conn.Call(context.Background(), &proto.Request{Op: proto.OpCancel, PID: c.pid, TaskID: t.ID})
-	if err != nil {
-		return Stats{}, err
-	}
-	if resp.Status != proto.Success {
-		return Stats{}, apiError(resp)
-	}
-	if resp.Stats == nil {
-		return Stats{}, errors.New("norns: response without stats")
-	}
-	return statsOf(resp.Stats), nil
+	return c.c.Cancel(t.ID)
 }
 
 // GetDataspaceInfo mirrors norns_get_dataspace_info.
 func (c *Client) GetDataspaceInfo() ([]DataspaceInfo, error) {
-	resp, err := c.conn.Call(context.Background(), &proto.Request{Op: proto.OpGetDataspaceInfo, PID: c.pid})
+	resp, err := c.c.Call(context.Background(), &proto.Request{Op: proto.OpGetDataspaceInfo})
 	if err != nil {
 		return nil, err
-	}
-	if resp.Status != proto.Success {
-		return nil, apiError(resp)
 	}
 	out := make([]DataspaceInfo, 0, len(resp.Dataspaces))
 	for _, ds := range resp.Dataspaces {
@@ -312,17 +204,14 @@ func (c *Client) GetDataspaceInfo() ([]DataspaceInfo, error) {
 // the returned function resolves it. The figure-4 throughput benchmark
 // uses this to keep multiple requests in flight per client.
 func (c *Client) SubmitAsync(t *IOTask) (func() error, error) {
-	ch, err := c.conn.Send(context.Background(), &proto.Request{Op: proto.OpSubmit, PID: c.pid, Task: specOf(t)})
+	ch, err := c.c.Send(context.Background(), &proto.Request{Op: proto.OpSubmit, Task: specOf(t)})
 	if err != nil {
 		return nil, err
 	}
 	return func() error {
-		resp, err := c.conn.Receive(context.Background(), ch)
+		resp, err := c.c.Receive(context.Background(), ch)
 		if err != nil {
 			return err
-		}
-		if resp.Status != proto.Success {
-			return apiError(resp)
 		}
 		t.ID = resp.TaskID
 		return nil
@@ -332,394 +221,32 @@ func (c *Client) SubmitAsync(t *IOTask) (func() error, error) {
 // ---------------------------------------------------------------------
 // v2 event-driven API: batch submission, task handles, subscriptions.
 
-// handleProgressMS is the progress-tick rate requested for handle
-// subscriptions and Events streams; the daemon may throttle further.
-const handleProgressMS = 100
-
-// TaskHandle tracks one submitted task. It resolves from server-pushed
-// events — state transitions and throttled progress ticks arrive on
-// the client's connection — so observing a task costs zero status
-// polls.
-type TaskHandle struct {
-	id uint64
-
-	mu    sync.Mutex
-	stats Stats
-	err   error
-	// done is materialized lazily (most handles resolve from the push
-	// stream before anyone blocks on them, and then Done hands out the
-	// shared closed channel instead of allocating one per task).
-	done chan struct{}
-	over bool
-}
-
-// closedChan is the shared pre-closed channel resolved handles return
-// from Done when no waiter ever materialized a private one.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// ID returns the daemon-assigned task ID.
-func (h *TaskHandle) ID() uint64 { return h.id }
-
-// Done returns a channel closed when the task reaches a terminal state
-// (or the connection fails, in which case Err reports it).
-func (h *TaskHandle) Done() <-chan struct{} {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.done == nil {
-		if h.over {
-			h.done = closedChan
-		} else {
-			h.done = make(chan struct{})
-		}
-	}
-	return h.done
-}
-
-// Stats returns the latest snapshot pushed by the daemon: live
-// progress while the task runs, the final report once Done is closed.
-func (h *TaskHandle) Stats() Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stats
-}
-
-// Err reports the task's terminal outcome: nil for a finished task,
-// ErrCancelled for a cancelled one, an ErrTaskError-matching error for
-// a failure, the connection error if the daemon became unreachable —
-// and nil while the task is still in flight (check Done first).
-func (h *TaskHandle) Err() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.err
-}
-
-// statusRank orders life-cycle states for staleness detection: a
-// client can hold several subscriptions covering one task (an Events
-// stream plus a batch subscription), whose pumps are independent — so
-// an older event can arrive after a newer one.
-func statusRank(s task.Status) int {
-	switch s {
-	case task.Pending:
-		return 0
-	case task.Running:
-		return 1
-	case task.Cancelling:
-		return 2
-	default: // terminal
-		return 3
-	}
-}
-
-// apply folds one pushed event into the handle, resolving it on
-// terminal transitions. Stale events — an earlier life-cycle state, or
-// regressed progress within the same state, delivered late by another
-// subscription's pump — are ignored so Stats() stays monotonic. It
-// reports whether the handle is spent.
-func (h *TaskHandle) apply(st Stats) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.over {
-		return true
-	}
-	if nr, cr := statusRank(st.Status), statusRank(h.stats.Status); nr < cr ||
-		(nr == cr && st.MovedBytes < h.stats.MovedBytes) {
-		return false
-	}
-	h.stats = st
-	switch st.Status {
-	case task.Finished:
-		// err stays nil
-	case task.Failed:
-		h.err = &apierr.Error{API: "norns", Code: proto.ETaskError, Msg: st.Err}
-	case task.Cancelled:
-		h.err = ErrCancelled
-	default:
-		return false // still in flight
-	}
-	h.over = true
-	if h.done != nil {
-		close(h.done)
-	}
-	return true
-}
-
-// fail resolves a handle that can no longer receive events (connection
-// loss) with the transport error.
-func (h *TaskHandle) fail(err error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.over {
-		return
-	}
-	h.err = err
-	h.over = true
-	if h.done != nil {
-		close(h.done)
-	}
-}
-
-// EventKind identifies what a TaskEvent reports.
-type EventKind uint32
-
-// Event kinds surfaced by Events.
-const (
-	// EventState is a task life-cycle transition.
-	EventState = EventKind(proto.EvState)
-	// EventProgress is a rate-limited progress tick for a running task.
-	EventProgress = EventKind(proto.EvProgress)
-	// EventGap reports that events were coalesced because the consumer
-	// fell behind (daemon- or client-side); Dropped carries the count.
-	// Reconcile with Error/TaskStatus if exact history matters.
-	EventGap = EventKind(proto.EvGap)
-)
-
-// TaskEvent is one entry in an Events stream.
-type TaskEvent struct {
-	TaskID  uint64
-	Kind    EventKind
-	Stats   Stats
-	Dropped uint64
-}
-
-// eventSink fans dispatched events to one Events consumer without ever
-// blocking the dispatch loop: overflow is dropped and surfaced as a
-// client-side gap event once the consumer catches up.
-type eventSink struct {
-	ch      chan TaskEvent
-	dropped uint64
-}
-
-// unclaimed caps for events that arrive before their subscription's
-// response has been processed (the daemon's pump and the response
-// writer race on the wire): per subscription, and across
-// subscriptions, beyond which the oldest parked subscription is
-// dropped wholesale. Steady state is empty — every subscribe path
-// claims or discards its SubID as soon as its RPC returns.
-const (
-	unclaimedPerSub = 256
-	unclaimedSubs   = 8
-)
-
-// startDispatch launches the shared event dispatch goroutine (idempotent).
-func (c *Client) startDispatch() {
-	c.dispatchOnce.Do(func() {
-		c.mu.Lock()
-		c.handles = make(map[uint64]*TaskHandle)
-		c.sinks = make(map[uint64]*eventSink)
-		c.unclaimed = make(map[uint64][]TaskEvent)
-		c.discarded = make(map[uint64]struct{})
-		c.dispatchDone = make(chan struct{})
-		c.mu.Unlock()
-		events := c.conn.Events()
-		go func() {
-			defer close(c.dispatchDone)
-			for ev := range events {
-				c.dispatch(ev)
-			}
-			// Connection gone: resolve every open handle with the
-			// error and release Events consumers.
-			c.mu.Lock()
-			c.dispatchDead = true
-			handles, sinks := c.handles, c.sinks
-			c.handles, c.sinks = make(map[uint64]*TaskHandle), make(map[uint64]*eventSink)
-			c.unclaimed, c.unclaimedIDs = make(map[uint64][]TaskEvent), nil
-			c.mu.Unlock()
-			for _, h := range handles {
-				h.fail(transport.ErrConnClosed)
-			}
-			for _, s := range sinks {
-				close(s.ch)
-			}
-		}()
-	})
-}
-
-// dispatch routes one pushed event: task handles resolve by task ID,
-// Events sinks match by subscription ID. Events for a SubID with no
-// sink yet are parked (bounded) until the subscribing RPC claims or
-// discards them.
-func (c *Client) dispatch(ev proto.Event) {
-	var st Stats
-	if ev.HasStats {
-		st = statsOf(&ev.Stats)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	handled := false
-	if proto.EventKind(ev.Kind) != proto.EvGap {
-		handled = c.applyHandleLocked(ev.TaskID, st)
-	}
-	sink, ok := c.sinks[ev.SubID]
-	if !ok {
-		// Parking exists so an Events stream's first pushes (racing its
-		// OpSubscribe response) are not lost. An event that already
-		// found its consumer — a registered task handle — has nothing
-		// left to deliver: batch subscriptions discard their SubID on
-		// return, so parking those events only to throw them away was
-		// pure allocation churn on the submit hot path.
-		if handled {
-			return
-		}
-		if _, settled := c.discarded[ev.SubID]; !settled {
-			c.parkLocked(ev.SubID, TaskEvent{TaskID: ev.TaskID, Kind: EventKind(ev.Kind), Stats: st, Dropped: ev.Dropped})
-		}
-		return
-	}
-	c.forwardLocked(sink, TaskEvent{TaskID: ev.TaskID, Kind: EventKind(ev.Kind), Stats: st, Dropped: ev.Dropped})
-}
-
-// applyHandleLocked folds one event into the task's handle (if any),
-// reporting whether a handle consumed it. Caller holds c.mu.
-func (c *Client) applyHandleLocked(taskID uint64, st Stats) bool {
-	h, ok := c.handles[taskID]
-	if !ok {
-		return false
-	}
-	if h.apply(st) {
-		delete(c.handles, taskID)
-	}
-	return true
-}
-
-// adoptSub replays a combined-batch subscription's parked events into
-// the just-registered handles, then retires the SubID: later events
-// route by task ID through the normal dispatch path. This closes the
-// race where the daemon's pump delivers terminal events before the
-// client has processed the batch response that names the tasks.
-func (c *Client) adoptSub(subID uint64) {
-	c.mu.Lock()
-	for _, te := range c.takeUnclaimedLocked(subID) {
-		if te.Kind != EventGap {
-			c.applyHandleLocked(te.TaskID, te.Stats)
-		}
-	}
-	c.discardLocked(subID)
-	c.mu.Unlock()
-}
-
-// forwardLocked hands one event to a sink without blocking, folding
-// overflow into a client-side gap marker delivered once space frees.
-func (c *Client) forwardLocked(sink *eventSink, te TaskEvent) {
-	if sink.dropped > 0 {
-		// Deliver the gap marker first so ordering reads
-		// "…events…, gap, …events…" at the consumer.
-		select {
-		case sink.ch <- TaskEvent{Kind: EventGap, Dropped: sink.dropped}:
-			sink.dropped = 0
-		default:
-			sink.dropped++
-			return
-		}
-	}
-	select {
-	case sink.ch <- te:
-	default:
-		sink.dropped++
-	}
-}
-
-// parkLocked buffers an event for a not-yet-claimed subscription,
-// evicting the oldest parked subscription past the global bound.
-func (c *Client) parkLocked(subID uint64, te TaskEvent) {
-	evs, known := c.unclaimed[subID]
-	if !known {
-		if len(c.unclaimedIDs) >= unclaimedSubs+c.expectSubs {
-			oldest := c.unclaimedIDs[0]
-			c.unclaimedIDs = c.unclaimedIDs[1:]
-			delete(c.unclaimed, oldest)
-		}
-		c.unclaimedIDs = append(c.unclaimedIDs, subID)
-	}
-	// State events are what handles and streams hang on — a combined
-	// batch's terminal events must never be crowded out of the park by
-	// a burst of progress ticks, or WaitAll would block forever. Ticks
-	// respect the base cap; state events are admitted up to a wider
-	// ceiling bounded by the outstanding batches' task counts.
-	limit := unclaimedPerSub + c.expectParked
-	if te.Kind == EventState {
-		limit += c.expectParked
-	}
-	if len(evs) < limit {
-		c.unclaimed[subID] = append(evs, te)
-	}
-}
-
-// claimSink registers a sink for a subscription and replays anything
-// that arrived ahead of the subscribe response, in order. A sink
-// claimed after the dispatcher exited is closed on the spot so its
-// consumer unblocks instead of hanging on a dead connection.
-func (c *Client) claimSink(subID uint64, sink *eventSink) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dispatchDead {
-		close(sink.ch)
-		return
-	}
-	for _, te := range c.takeUnclaimedLocked(subID) {
-		c.forwardLocked(sink, te)
-	}
-	c.sinks[subID] = sink
-}
-
-// discardSub drops a subscription's parked events and remembers the
-// SubID so its future events are dropped too — its traffic is routed
-// another way (batch handles resolve by task ID) or nowhere (an ended
-// Events stream).
-func (c *Client) discardSub(subID uint64) {
-	c.mu.Lock()
-	c.takeUnclaimedLocked(subID)
-	c.discardLocked(subID)
-	c.mu.Unlock()
-}
-
-// discardLocked marks a SubID settled. Caller holds c.mu.
-func (c *Client) discardLocked(subID uint64) {
-	if _, ok := c.discarded[subID]; !ok {
-		if len(c.discardedRing) >= discardedCap {
-			oldest := c.discardedRing[0]
-			c.discardedRing = c.discardedRing[1:]
-			delete(c.discarded, oldest)
-		}
-		c.discarded[subID] = struct{}{}
-		c.discardedRing = append(c.discardedRing, subID)
-	}
-}
-
-func (c *Client) takeUnclaimedLocked(subID uint64) []TaskEvent {
-	evs, ok := c.unclaimed[subID]
-	if !ok {
-		return nil
-	}
-	delete(c.unclaimed, subID)
-	for i, id := range c.unclaimedIDs {
-		if id == subID {
-			c.unclaimedIDs = append(c.unclaimedIDs[:i], c.unclaimedIDs[i+1:]...)
-			break
-		}
-	}
-	return evs
-}
-
-// register installs a handle for a task ID (before any event for that
-// task can be dispatched, since registration happens under the same
-// lock the dispatcher takes).
-func (c *Client) register(h *TaskHandle) {
-	c.mu.Lock()
-	c.handles[h.id] = h
-	c.mu.Unlock()
-}
+// TaskHandle tracks one submitted task and resolves from server-pushed
+// events (no polling); see client.TaskHandle.
+type TaskHandle = client.TaskHandle
 
 // BatchResult is one entry's outcome in a SubmitBatch call: a live
 // handle on acceptance, or the per-entry rejection (errors.Is matches
 // ErrAgain for backpressure — resubmit just those entries).
-type BatchResult struct {
-	Handle *TaskHandle
-	Err    error
-}
+type BatchResult = client.BatchResult
+
+// EventKind identifies what a TaskEvent reports.
+type EventKind = client.EventKind
+
+// Event kinds surfaced by Events.
+const (
+	// EventState is a task life-cycle transition.
+	EventState = client.EventState
+	// EventProgress is a rate-limited progress tick for a running task.
+	EventProgress = client.EventProgress
+	// EventGap reports that events were coalesced because the consumer
+	// fell behind (daemon- or client-side); Dropped carries the count.
+	// Reconcile with Error if exact history matters.
+	EventGap = client.EventGap
+)
+
+// TaskEvent is one entry in an Events stream.
+type TaskEvent = client.TaskEvent
 
 // SubmitBatch queues many tasks in a single RPC. Acceptance is per
 // entry — one full shard rejects its entry with ErrAgain while the
@@ -729,104 +256,17 @@ type BatchResult struct {
 // the same call; no status polling is involved. An error is returned
 // only when the batch as a whole could not be submitted or subscribed.
 func (c *Client) SubmitBatch(ctx context.Context, tasks []*IOTask) ([]BatchResult, error) {
-	if len(tasks) == 0 {
-		return nil, nil
-	}
-	c.startDispatch()
 	specs := make([]proto.TaskSpec, len(tasks))
 	for i, t := range tasks {
 		fillSpec(t, &specs[i])
 	}
-	// Widen the event-parking bound for the duration of the batch: with
-	// the combined submit+subscribe below, every accepted task's
-	// terminal event may land before this function has registered the
-	// handles, and each one must survive parking.
-	c.mu.Lock()
-	c.expectParked += len(tasks)
-	c.expectSubs++
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.expectParked -= len(tasks)
-		c.expectSubs--
-		c.mu.Unlock()
-	}()
-	// One RPC carries the specs AND the subscription: the daemon
-	// attaches it before any task becomes runnable, so no event can be
-	// missed and no snapshots are needed. Terminal-only: the handles
-	// resolve on outcomes (plus progress ticks); pending/running
-	// transitions would only burn push frames. A daemon that predates
-	// the combined path ignores Subscribe here and returns SubID 0; the
-	// explicit OpSubscribe fallback below then covers it.
-	resp, err := c.conn.Call(ctx, &proto.Request{
-		Op: proto.OpSubmitBatch, PID: c.pid, Tasks: specs,
-		Subscribe: &proto.SubscribeSpec{ProgressMS: handleProgressMS, TerminalOnly: true},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != proto.Success {
-		return nil, apiError(resp)
-	}
-	if len(resp.Results) != len(tasks) {
-		return nil, fmt.Errorf("norns: batch of %d returned %d results", len(tasks), len(resp.Results))
-	}
-	out := make([]BatchResult, len(tasks))
-	ids := make([]uint64, 0, len(tasks))
-	for i := range resp.Results {
-		r := &resp.Results[i]
-		if proto.StatusCode(r.Status) != proto.Success {
-			out[i].Err = apiError(&proto.Response{Status: proto.StatusCode(r.Status), Error: r.Error})
-			continue
+	out, err := c.c.SubmitBatch(ctx, specs)
+	for i, r := range out {
+		if r.Handle != nil {
+			tasks[i].ID = r.Handle.ID()
 		}
-		tasks[i].ID = r.TaskID
-		h := &TaskHandle{id: r.TaskID, stats: Stats{Status: task.Pending}}
-		c.register(h)
-		out[i].Handle = h
-		ids = append(ids, r.TaskID)
 	}
-	if len(ids) == 0 {
-		return out, nil
-	}
-	if resp.SubID != 0 {
-		// Combined path: the subscription already covers the accepted
-		// tasks. Replay anything its pump pushed ahead of this response
-		// into the handles and route the rest by task ID.
-		c.adoptSub(resp.SubID)
-		return out, nil
-	}
-	// Fallback for daemons without the combined path: subscribe to the
-	// accepted tasks explicitly. The daemon snapshots each task's
-	// current state into the subscription, so anything that raced to a
-	// terminal state between the two RPCs still resolves its handle.
-	sresp, err := c.conn.Call(ctx, &proto.Request{
-		Op: proto.OpSubscribe, PID: c.pid,
-		Subscribe: &proto.SubscribeSpec{TaskIDs: ids, ProgressMS: handleProgressMS, TerminalOnly: true},
-	})
-	if err == nil && sresp.Status != proto.Success {
-		err = apiError(sresp)
-	}
-	if err != nil {
-		// Without the subscription the handles would never resolve:
-		// unregister them — no event will ever come to evict them — and
-		// fail them so Done/Err stay truthful, surfacing the cause.
-		c.mu.Lock()
-		for _, id := range ids {
-			delete(c.handles, id)
-		}
-		c.mu.Unlock()
-		for _, r := range out {
-			if r.Handle != nil {
-				r.Handle.fail(fmt.Errorf("norns: subscribe after batch: %w", err))
-			}
-		}
-		return out, fmt.Errorf("norns: subscribe after batch: %w", err)
-	}
-	// The subscription's events route to the handles by task ID; any
-	// that raced ahead of this response were parked by SubID and are
-	// released (to nobody) here.
-	c.discardSub(sresp.SubID)
-	return out, nil
+	return out, err
 }
 
 // SubmitTask queues one task through the v2 path and returns its
@@ -922,43 +362,5 @@ func (c *Client) WaitAny(ctx context.Context, handles ...*TaskHandle) (int, erro
 // behind, events are coalesced into one EventGap entry carrying the
 // drop count.
 func (c *Client) Events(ctx context.Context) (<-chan TaskEvent, error) {
-	c.startDispatch()
-	resp, err := c.conn.Call(ctx, &proto.Request{
-		Op: proto.OpSubscribe, PID: c.pid,
-		Subscribe: &proto.SubscribeSpec{All: true, ProgressMS: handleProgressMS},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != proto.Success {
-		return nil, apiError(resp)
-	}
-	sink := &eventSink{ch: make(chan TaskEvent, 128)}
-	// claimSink also replays any events the daemon pushed before this
-	// response was processed, preserving order.
-	c.claimSink(resp.SubID, sink)
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-c.dispatchDone:
-			return // dispatcher closed the sink already
-		}
-		c.mu.Lock()
-		_, live := c.sinks[resp.SubID]
-		delete(c.sinks, resp.SubID)
-		c.mu.Unlock()
-		if !live {
-			return
-		}
-		// Events still in flight until the unsubscribe lands must be
-		// dropped, not parked for a consumer that is gone.
-		c.discardSub(resp.SubID)
-		// Best-effort: tell the daemon to stop pushing. The connection
-		// may be long-lived, so do not leak the subscription.
-		uctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		_, _ = c.conn.Call(uctx, &proto.Request{Op: proto.OpUnsubscribe, PID: c.pid, SubID: resp.SubID})
-		cancel()
-		close(sink.ch)
-	}()
-	return sink.ch, nil
+	return c.c.Events(ctx)
 }

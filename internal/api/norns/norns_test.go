@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/ngioproject/norns-go/internal/api/apierr"
 	"github.com/ngioproject/norns-go/internal/api/norns"
 	"github.com/ngioproject/norns-go/internal/api/nornsctl"
 	"github.com/ngioproject/norns-go/internal/proto"
@@ -83,30 +85,24 @@ func TestListing2Flow(t *testing.T) {
 }
 
 func TestWaitTimeoutReturnsErrTimeout(t *testing.T) {
-	user, ctl := harness(t)
-	// A task that stays queued: saturate the 2 workers with large
-	// transfers first is racy; instead use a remote task that fails fast
-	// — no. Simplest reliable approach: wait on a pending task ID before
-	// any worker can finish is unreliable; instead submit enough work
-	// that one of the later tasks is still queued when we wait 0ms.
-	big := make([]byte, 4<<20)
-	var last norns.IOTask
-	for i := 0; i < 16; i++ {
-		tk := norns.NewIOTask(norns.Copy, norns.MemoryRegion(big), norns.PosixPath("tmp0://", fmt.Sprintf("f%d", i)))
-		if err := user.Submit(&tk); err != nil {
-			t.Fatal(err)
-		}
-		last = tk
-	}
-	err := user.Wait(&last, time.Nanosecond)
-	if err != nil && !errors.Is(err, norns.ErrTimeout) {
-		t.Fatalf("Wait = %v, want nil or ErrTimeout", err)
-	}
-	// Eventually it finishes.
-	if err := user.Wait(&last, 30*time.Second); err != nil {
+	// The bandwidth cap (4 MiB/s, 1 MiB burst) keeps the 4 MiB transfer
+	// running for about 0.75 s, so a 1 ns wait must time out — and must
+	// not be truncated to the daemon's "0 = wait forever".
+	user, _, _ := harnessCfg(t, urd.Config{
+		Workers: 1, MaxBandwidthBps: 4 << 20, BufSize: 64 << 10,
+	})
+	tk := norns.NewIOTask(norns.Copy, norns.MemoryRegion(make([]byte, 4<<20)), norns.PosixPath("tmp0://", "slow"))
+	if err := user.Submit(&tk); err != nil {
 		t.Fatal(err)
 	}
-	_ = ctl
+	err := user.Wait(&tk, time.Nanosecond)
+	if !errors.Is(err, norns.ErrTimeout) || !errors.Is(err, apierr.ErrTimeout) || !apierr.IsRetryable(err) {
+		t.Fatalf("Wait(1ns) = %v, want a retryable ErrTimeout", err)
+	}
+	// Eventually it finishes.
+	if err := user.Wait(&tk, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSubmitAsyncPipelining(t *testing.T) {
@@ -475,12 +471,32 @@ func TestSubscriptionWatch(t *testing.T) {
 	if polls := d.StatusPolls(); polls != 0 {
 		t.Fatalf("watch caused %d status polls", polls)
 	}
+
+	// A callback slower than the interval on a bandwidth-capped copy:
+	// the terminal transition still reaches Watch, without polling.
+	_, ctl2, d2 := harnessCfg(t, urd.Config{
+		Workers: 1, MaxBandwidthBps: 4 << 20, BufSize: 64 << 10,
+	})
+	id, err = ctl2.Submit(task.Copy, task.MemoryRegion(make([]byte, 4<<20)), task.PosixPath("tmp0://", "w"), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err = ctl2.Watch(id, 5*time.Millisecond, func(nornsctl.Stats) { time.Sleep(50 * time.Millisecond) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != task.Finished || st.MovedBytes != 4<<20 {
+		t.Fatalf("slow-callback terminal stats = %+v", st)
+	}
+	if polls := d2.StatusPolls(); polls != 0 {
+		t.Fatalf("slow-callback watch caused %d status polls", polls)
+	}
 }
 
-// TestConcurrentWatches: two Watch calls sharing one admin client must
-// each observe their own task's progress and terminal state — the
-// dispatcher routes by subscription, so neither can steal or drop the
-// other's events.
+// TestConcurrentWatches: Watch calls sharing one admin client — two
+// tasks, plus a second watch of the first task — must each observe
+// their task's terminal state: the dispatcher routes by task ID into a
+// handle, so no watch can steal or drop another's events.
 func TestConcurrentWatches(t *testing.T) {
 	_, ctl, d := harnessCfg(t, urd.Config{
 		Workers: 2, MaxBandwidthBps: 4 << 20, BufSize: 64 << 10,
@@ -498,14 +514,15 @@ func TestConcurrentWatches(t *testing.T) {
 		st  nornsctl.Stats
 		err error
 	}
-	results := make(chan outcome, len(ids))
-	for _, id := range ids {
+	watched := append(ids, ids[0])
+	results := make(chan outcome, len(watched))
+	for _, id := range watched {
 		go func(id uint64) {
 			st, err := ctl.Watch(id, 20*time.Millisecond, nil)
 			results <- outcome{st, err}
 		}(id)
 	}
-	for range ids {
+	for range watched {
 		select {
 		case r := <-results:
 			if r.err != nil {
@@ -561,13 +578,13 @@ func TestSubscribeToExpiredDeadlineTask(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchFallbackToSeparateSubscribe drives SubmitBatch against
-// a daemon that predates the combined submit+subscribe path — modeled
-// by a shim that strips the Subscribe field from OpSubmitBatch requests
-// (so the response carries SubID 0) while serving OpSubscribe normally.
-// The client must fall back to the explicit subscription RPC and every
-// handle must still resolve.
-func TestSubmitBatchFallbackToSeparateSubscribe(t *testing.T) {
+// TestSubmitBatchWithoutSubscriptionFailsHandles drives SubmitBatch
+// against a shim that strips the Subscribe field from OpSubmitBatch
+// requests, so the response carries SubID 0 — what urd answers when its
+// event hub is closing. No event can ever resolve the accepted handles:
+// SubmitBatch must report an error, fail every handle at once, and not
+// try a separate OpSubscribe.
+func TestSubmitBatchWithoutSubscriptionFailsHandles(t *testing.T) {
 	dir := t.TempDir()
 	cfg := urd.Config{
 		NodeName:      "oldd",
@@ -579,10 +596,13 @@ func TestSubmitBatchFallbackToSeparateSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
-	// The "old daemon": same handler, minus the v2.1 field.
+	var subscribes atomic.Int32
 	shim := transport.NewServer(func(peer transport.PeerInfo, req *proto.Request) *proto.Response {
-		if req.Op == proto.OpSubmitBatch {
+		switch req.Op {
+		case proto.OpSubmitBatch:
 			req.Subscribe = nil
+		case proto.OpSubscribe:
+			subscribes.Add(1)
 		}
 		return d.Handle(peer, req)
 	}, false)
@@ -617,18 +637,28 @@ func TestSubmitBatchFallbackToSeparateSubscribe(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	results, err := c.SubmitBatch(ctx, tasks)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatal("SubmitBatch without a subscription returned no error")
 	}
-	handles := make([]*norns.TaskHandle, 0, len(results))
+	if len(results) != len(tasks) {
+		t.Fatalf("got %d results for %d tasks", len(results), len(tasks))
+	}
+	deadline := time.After(time.Second)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("entry %d: %v", i, r.Err)
 		}
-		handles = append(handles, r.Handle)
+		select {
+		case <-r.Handle.Done():
+		case <-deadline:
+			t.Fatalf("handle %d not failed within 1s", i)
+		}
+		if r.Handle.Err() == nil {
+			t.Fatalf("handle %d resolved without an error", i)
+		}
 	}
-	if err := c.WaitAll(ctx, handles...); err != nil {
-		t.Fatalf("WaitAll via fallback subscription: %v", err)
+	if n := subscribes.Load(); n != 0 {
+		t.Fatalf("client sent %d OpSubscribe requests", n)
 	}
 }
 

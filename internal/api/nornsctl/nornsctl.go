@@ -7,14 +7,12 @@ package nornsctl
 import (
 	"context"
 	"errors"
-	"os"
-	"sync"
 	"time"
 
 	"github.com/ngioproject/norns-go/internal/api/apierr"
+	"github.com/ngioproject/norns-go/internal/api/client"
 	"github.com/ngioproject/norns-go/internal/proto"
 	"github.com/ngioproject/norns-go/internal/task"
-	"github.com/ngioproject/norns-go/internal/transport"
 )
 
 // Typed error sentinels shared with the norns API: every failed
@@ -29,6 +27,9 @@ var (
 	ErrTaskError   = apierr.ErrTaskError
 	ErrInternal    = apierr.ErrInternal
 	ErrUnavailable = apierr.ErrUnavailable
+	// ErrTimeout matches the error Wait returns when its timeout
+	// elapses first; apierr.IsRetryable accepts it.
+	ErrTimeout = apierr.ErrTimeout
 )
 
 // Backend kinds for RegisterDataspace, mirroring
@@ -72,176 +73,14 @@ type ProcDef struct {
 	GID uint64
 }
 
-// Stats mirrors the user API's completion report, extended with the
-// segmented transfer engine's live progress: polling a running task
-// reports bytes moved, segments done, and the observed rate.
-type Stats struct {
-	Status     task.Status
-	Err        string
-	TotalBytes int64
-	MovedBytes int64
-	// SizeErr reports a failed up-front size probe; TotalBytes is then an
-	// explicit 0 fallback rather than a measured value.
-	SizeErr string
-	// SegmentsTotal/SegmentsDone report the transfer plan's completion
-	// (0 total = unsegmented path).
-	SegmentsTotal uint64
-	SegmentsDone  uint64
-	// BandwidthBps is the task's observed transfer rate at poll time.
-	BandwidthBps float64
-	// CacheBytes is the subset of MovedBytes served from the daemon's
-	// staging cache instead of the fabric; DeltaBytes counts bytes never
-	// moved because the destination already matched the source digests.
-	CacheBytes int64
-	DeltaBytes int64
-	// Attempts counts completed execution attempts that failed
-	// transiently and were retried (0 = first attempt succeeded or is
-	// still running).
-	Attempts uint64
-}
-
-func statsOf(st *proto.TaskStats) Stats {
-	return Stats{
-		Status:        task.Status(st.Status),
-		Err:           st.Err,
-		TotalBytes:    st.TotalBytes,
-		MovedBytes:    st.MovedBytes,
-		SizeErr:       st.SizeErr,
-		SegmentsTotal: st.SegmentsTotal,
-		SegmentsDone:  st.SegmentsDone,
-		BandwidthBps:  st.BandwidthBps,
-		CacheBytes:    st.CacheBytes,
-		DeltaBytes:    st.DeltaBytes,
-		Attempts:      st.Attempts,
-	}
-}
+// Stats is the task report shared with the user API: completion
+// status plus the transfer engine's live progress, cache, delta, and
+// retry fields.
+type Stats = client.Stats
 
 // Client speaks the control protocol to a urd daemon.
 type Client struct {
-	conn *transport.Conn
-	pid  uint64
-
-	// Push-event demultiplexing for Watch: one dispatch goroutine
-	// drains the connection's event channel and routes by subscription
-	// ID, so concurrent Watch calls on one client cannot steal each
-	// other's events. Events arriving before their subscribe response
-	// is processed are parked until the sink claims them.
-	dispatchOnce sync.Once
-	mu           sync.Mutex
-	sinks        map[uint64]chan proto.Event
-	unclaimed    map[uint64][]proto.Event
-	unclaimedIDs []uint64
-	// dispatchDead marks the router as exited (connection gone): sinks
-	// claimed afterwards are closed immediately instead of hanging.
-	dispatchDead bool
-}
-
-// unclaimed bounds, mirroring the norns client: per parked
-// subscription, and across parked subscriptions.
-const (
-	unclaimedPerSub = 256
-	unclaimedSubs   = 8
-)
-
-// startDispatch launches the shared event router (idempotent).
-func (c *Client) startDispatch() {
-	c.dispatchOnce.Do(func() {
-		c.mu.Lock()
-		c.sinks = make(map[uint64]chan proto.Event)
-		c.unclaimed = make(map[uint64][]proto.Event)
-		c.mu.Unlock()
-		events := c.conn.Events()
-		go func() {
-			for ev := range events {
-				c.mu.Lock()
-				if sink, ok := c.sinks[ev.SubID]; ok {
-					forwardEvent(sink, ev)
-				} else {
-					c.parkLocked(ev)
-				}
-				c.mu.Unlock()
-			}
-			// Connection gone: release every waiting Watch, present
-			// and future (claimSink checks dispatchDead).
-			c.mu.Lock()
-			c.dispatchDead = true
-			for id, sink := range c.sinks {
-				close(sink)
-				delete(c.sinks, id)
-			}
-			c.unclaimed, c.unclaimedIDs = make(map[uint64][]proto.Event), nil
-			c.mu.Unlock()
-		}()
-	})
-}
-
-// forwardEvent hands one event to a sink without ever blocking the
-// router. A full sink sheds its oldest queued event (in practice a
-// progress tick) to admit a state event, so a terminal transition is
-// never lost to progress backlog; overflowing progress ticks are
-// simply dropped.
-func forwardEvent(sink chan proto.Event, ev proto.Event) {
-	select {
-	case sink <- ev:
-		return
-	default:
-	}
-	if proto.EventKind(ev.Kind) != proto.EvState {
-		return
-	}
-	select {
-	case <-sink:
-	default:
-	}
-	select {
-	case sink <- ev:
-	default:
-	}
-}
-
-func (c *Client) parkLocked(ev proto.Event) {
-	evs, known := c.unclaimed[ev.SubID]
-	if !known {
-		if len(c.unclaimedIDs) >= unclaimedSubs {
-			oldest := c.unclaimedIDs[0]
-			c.unclaimedIDs = c.unclaimedIDs[1:]
-			delete(c.unclaimed, oldest)
-		}
-		c.unclaimedIDs = append(c.unclaimedIDs, ev.SubID)
-	}
-	if len(evs) < unclaimedPerSub {
-		c.unclaimed[ev.SubID] = append(evs, ev)
-	}
-}
-
-// claimSink registers a Watch's sink and replays events that raced
-// ahead of the subscribe response. A sink claimed after the router
-// exited is closed on the spot so its Watch unblocks with the
-// connection error instead of hanging.
-func (c *Client) claimSink(subID uint64, sink chan proto.Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dispatchDead {
-		close(sink)
-		return
-	}
-	for _, ev := range c.unclaimed[subID] {
-		forwardEvent(sink, ev)
-	}
-	delete(c.unclaimed, subID)
-	for i, id := range c.unclaimedIDs {
-		if id == subID {
-			c.unclaimedIDs = append(c.unclaimedIDs[:i], c.unclaimedIDs[i+1:]...)
-			break
-		}
-	}
-	c.sinks[subID] = sink
-}
-
-func (c *Client) releaseSink(subID uint64) {
-	c.mu.Lock()
-	delete(c.sinks, subID)
-	c.mu.Unlock()
+	c *client.Client
 }
 
 // Dial connects to the daemon's control socket.
@@ -251,32 +90,24 @@ func Dial(socket string) (*Client, error) {
 
 // DialNetwork connects over an explicit network.
 func DialNetwork(network, addr string) (*Client, error) {
-	conn, err := transport.Dial(network, addr)
+	c, err := client.Dial("nornsctl", network, addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, pid: uint64(os.Getpid())}, nil
+	return &Client{c}, nil
 }
 
 // Close tears the connection down.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.c.Close() }
 
-// apiError converts a failed response into a typed error: the result
-// satisfies errors.Is against the sentinel for its status code.
-func apiError(resp *proto.Response) error {
-	return apierr.New("nornsctl", resp)
+// call sends one request, mapping a failed response to *apierr.Error.
+func (c *Client) call(req *proto.Request) (*proto.Response, error) {
+	return c.c.Call(context.Background(), req)
 }
 
 func (c *Client) simple(req *proto.Request) error {
-	req.PID = c.pid
-	resp, err := c.conn.Call(context.Background(), req)
-	if err != nil {
-		return err
-	}
-	if resp.Status != proto.Success {
-		return apiError(resp)
-	}
-	return nil
+	_, err := c.call(req)
+	return err
 }
 
 // Ping checks daemon liveness (nornsctl_send_command).
@@ -286,12 +117,9 @@ func (c *Client) Ping() error {
 
 // Status returns the daemon's status line (nornsctl_status).
 func (c *Client) Status() (string, error) {
-	resp, err := c.conn.Call(context.Background(), &proto.Request{Op: proto.OpStatus, PID: c.pid})
+	resp, err := c.call(&proto.Request{Op: proto.OpStatus})
 	if err != nil {
 		return "", err
-	}
-	if resp.Status != proto.Success {
-		return "", apiError(resp)
 	}
 	return resp.DaemonInfo, nil
 }
@@ -377,12 +205,12 @@ type AutotuneRoute struct {
 
 // StatusInfo returns the daemon's structured status report.
 func (c *Client) StatusInfo() (DaemonStatus, error) {
-	resp, err := c.conn.Call(context.Background(), &proto.Request{Op: proto.OpStatus, PID: c.pid})
+	resp, err := c.call(&proto.Request{Op: proto.OpStatus})
 	if err != nil {
 		return DaemonStatus{}, err
 	}
-	if resp.Status != proto.Success || resp.StatusInfo == nil {
-		return DaemonStatus{}, apiError(resp)
+	if resp.StatusInfo == nil {
+		return DaemonStatus{}, errors.New("nornsctl: response without status report")
 	}
 	s := resp.StatusInfo
 	out := DaemonStatus{
@@ -454,12 +282,9 @@ type DeadLetterEntry struct {
 // DeadLetterList reports the tasks currently quarantined in the
 // dead-letter set, ordered by task ID.
 func (c *Client) DeadLetterList() ([]DeadLetterEntry, error) {
-	resp, err := c.conn.Call(context.Background(), &proto.Request{Op: proto.OpDeadletterList, PID: c.pid})
+	resp, err := c.call(&proto.Request{Op: proto.OpDeadletterList})
 	if err != nil {
 		return nil, err
-	}
-	if resp.Status != proto.Success {
-		return nil, apiError(resp)
 	}
 	out := make([]DeadLetterEntry, 0, len(resp.DeadLetters))
 	for _, dl := range resp.DeadLetters {
@@ -473,12 +298,9 @@ func (c *Client) DeadLetterList() ([]DeadLetterEntry, error) {
 // sweeps the whole dead-letter set; a specific ID requeues that task
 // alone (ErrNoSuchTask if it is not quarantined).
 func (c *Client) DeadLetterRequeue(taskID uint64) ([]uint64, error) {
-	resp, err := c.conn.Call(context.Background(), &proto.Request{Op: proto.OpDeadletterRequeue, PID: c.pid, TaskID: taskID})
+	resp, err := c.call(&proto.Request{Op: proto.OpDeadletterRequeue, TaskID: taskID})
 	if err != nil {
 		return nil, err
-	}
-	if resp.Status != proto.Success {
-		return nil, apiError(resp)
 	}
 	return resp.TaskIDs, nil
 }
@@ -498,12 +320,12 @@ type TransferMetrics struct {
 // TransferStats fetches observed transfer performance from the daemon,
 // letting the scheduler refine staging estimates over time.
 func (c *Client) TransferStats() (TransferMetrics, error) {
-	resp, err := c.conn.Call(context.Background(), &proto.Request{Op: proto.OpTransferStats, PID: c.pid})
+	resp, err := c.call(&proto.Request{Op: proto.OpTransferStats})
 	if err != nil {
 		return TransferMetrics{}, err
 	}
-	if resp.Status != proto.Success || resp.Metrics == nil {
-		return TransferMetrics{}, apiError(resp)
+	if resp.Metrics == nil {
+		return TransferMetrics{}, errors.New("nornsctl: response without metrics")
 	}
 	m := resp.Metrics
 	return TransferMetrics{
@@ -541,12 +363,9 @@ func (c *Client) TrackDataspace(id string, track bool) error {
 // TrackedNonEmpty returns tracked dataspaces that still hold data — the
 // check Slurm runs before releasing a node.
 func (c *Client) TrackedNonEmpty() ([]string, error) {
-	resp, err := c.conn.Call(context.Background(), &proto.Request{Op: proto.OpTrackedNonEmpty, PID: c.pid})
+	resp, err := c.call(&proto.Request{Op: proto.OpTrackedNonEmpty})
 	if err != nil {
 		return nil, err
-	}
-	if resp.Status != proto.Success {
-		return nil, apiError(resp)
 	}
 	return resp.NonEmpty, nil
 }
@@ -635,119 +454,30 @@ func (c *Client) SubmitTask(kind task.Kind, input, output task.Resource, opts Su
 		MaxBps:     opts.MaxBps,
 		RetryMax:   opts.RetryMax,
 	}
-	resp, err := c.conn.Call(context.Background(), &proto.Request{Op: proto.OpSubmit, PID: c.pid, Task: spec})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Status != proto.Success {
-		return 0, apiError(resp)
-	}
-	return resp.TaskID, nil
+	return c.c.Submit(spec)
 }
 
-// Watch follows a task's progress, invoking fn with each snapshot (the
-// last call is the terminal one) until the task reaches a terminal
-// state, and returns the terminal stats — what `nornsctl watch`
-// renders as a live progress line.
-//
-// It subscribes to the daemon's server-push events — an initial
-// current-state snapshot, progress ticks at most every interval, and
-// the terminal transition — so a watch costs zero status polls. A
-// daemon that predates subscriptions (EBadRequest on the subscribe)
-// falls back to the v1 poll loop transparently.
+// Watch follows a task until it reaches a terminal state and returns
+// the terminal stats — what `nornsctl watch` renders as a live
+// progress line. fn, when non-nil, receives the task's latest snapshot
+// at most once per interval while it changes, and always the terminal
+// one. The watch rides a push subscription (a current-state snapshot,
+// progress ticks at most every interval, and the terminal transition),
+// so it costs zero status polls.
 func (c *Client) Watch(taskID uint64, interval time.Duration, fn func(Stats)) (Stats, error) {
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	c.startDispatch()
-	progressMS := interval.Milliseconds()
-	if progressMS <= 0 {
-		progressMS = 1 // sub-millisecond intervals still want ticks; the daemon floors the rate
-	}
-	resp, err := c.conn.Call(context.Background(), &proto.Request{
-		Op: proto.OpSubscribe, PID: c.pid,
-		Subscribe: &proto.SubscribeSpec{TaskIDs: []uint64{taskID}, ProgressMS: progressMS},
-	})
-	if err != nil {
-		return Stats{}, err
-	}
-	if resp.Status != proto.Success {
-		if errors.Is(apiError(resp), ErrBadRequest) {
-			return c.watchPoll(taskID, interval, fn)
-		}
-		return Stats{}, apiError(resp)
-	}
-	sink := make(chan proto.Event, 256)
-	c.claimSink(resp.SubID, sink)
-	defer c.releaseSink(resp.SubID)
-	for ev := range sink {
-		if proto.EventKind(ev.Kind) == proto.EvGap || !ev.HasStats {
-			continue
-		}
-		st := statsOf(&ev.Stats)
-		if fn != nil {
-			fn(st)
-		}
-		if st.Status.Terminal() {
-			// The subscription is spent — the daemon reaps it after the
-			// terminal event — so there is nothing to unsubscribe.
-			return st, nil
-		}
-	}
-	return Stats{}, transport.ErrConnClosed
+	return c.c.Watch(taskID, interval, fn)
 }
-
-// watchPoll is the v1 fallback: poll TaskStatus every interval.
-func (c *Client) watchPoll(taskID uint64, interval time.Duration, fn func(Stats)) (Stats, error) {
-	for {
-		st, err := c.TaskStatus(taskID)
-		if err != nil {
-			return Stats{}, err
-		}
-		if fn != nil {
-			fn(st)
-		}
-		if st.Status.Terminal() {
-			return st, nil
-		}
-		time.Sleep(interval)
-	}
-}
-
-// ErrTimeout is returned by Wait when the timeout elapses first.
-var ErrTimeout = errors.New("nornsctl: wait timed out")
 
 // Wait blocks until the task terminates (timeout <= 0 waits forever)
-// and returns its stats.
+// and returns its stats. An error matching ErrTimeout reports that the
+// timeout elapsed first.
 func (c *Client) Wait(taskID uint64, timeout time.Duration) (Stats, error) {
-	req := &proto.Request{Op: proto.OpWait, PID: c.pid, TaskID: taskID, TimeoutMS: timeout.Milliseconds()}
-	resp, err := c.conn.Call(context.Background(), req)
-	if err != nil {
-		return Stats{}, err
-	}
-	switch resp.Status {
-	case proto.Success:
-	case proto.ETimeout:
-		return Stats{}, ErrTimeout
-	default:
-		return Stats{}, apiError(resp)
-	}
-	if resp.Stats == nil {
-		return Stats{}, errors.New("nornsctl: response without stats")
-	}
-	return statsOf(resp.Stats), nil
+	return c.c.Wait(taskID, timeout)
 }
 
 // TaskStatus fetches a task's stats without blocking.
 func (c *Client) TaskStatus(taskID uint64) (Stats, error) {
-	resp, err := c.conn.Call(context.Background(), &proto.Request{Op: proto.OpTaskStatus, PID: c.pid, TaskID: taskID})
-	if err != nil {
-		return Stats{}, err
-	}
-	if resp.Stats == nil {
-		return Stats{}, apiError(resp)
-	}
-	return statsOf(resp.Stats), nil
+	return c.c.Status(taskID)
 }
 
 // Cancel aborts a task (the nornsctl_cancel admin control): pending
@@ -756,15 +486,5 @@ func (c *Client) TaskStatus(taskID uint64) (Stats, error) {
 // The returned stats are the snapshot right after the request; use Wait
 // to observe the terminal state of a running task.
 func (c *Client) Cancel(taskID uint64) (Stats, error) {
-	resp, err := c.conn.Call(context.Background(), &proto.Request{Op: proto.OpCancel, PID: c.pid, TaskID: taskID})
-	if err != nil {
-		return Stats{}, err
-	}
-	if resp.Status != proto.Success {
-		return Stats{}, apiError(resp)
-	}
-	if resp.Stats == nil {
-		return Stats{}, errors.New("nornsctl: response without stats")
-	}
-	return statsOf(resp.Stats), nil
+	return c.c.Cancel(taskID)
 }

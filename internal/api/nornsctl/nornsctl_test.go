@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ngioproject/norns-go/internal/api/apierr"
 	"github.com/ngioproject/norns-go/internal/api/nornsctl"
 	"github.com/ngioproject/norns-go/internal/task"
 	"github.com/ngioproject/norns-go/internal/urd"
@@ -181,8 +182,36 @@ func TestShutdownStopsDaemon(t *testing.T) {
 	t.Fatal("daemon still responding after shutdown")
 }
 
+// TestErrTimeoutSentinel: a Wait that times out returns an error that
+// matches both sentinels and is retryable. The bandwidth cap (4 MiB/s,
+// 1 MiB burst) keeps the 4 MiB task running well past the 1 ns wait.
 func TestErrTimeoutSentinel(t *testing.T) {
-	if !errors.Is(nornsctl.ErrTimeout, nornsctl.ErrTimeout) {
-		t.Fatal("sentinel identity broken")
+	dir := t.TempDir()
+	d, err := urd.New(urd.Config{
+		NodeName: "ctltest", ControlSocket: filepath.Join(dir, "c.sock"),
+		Workers: 1, MaxBandwidthBps: 4 << 20, BufSize: 64 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	c, err := nornsctl.Dial(filepath.Join(dir, "c.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := c.RegisterDataspace(nornsctl.DataspaceDef{ID: "m://", Backend: nornsctl.BackendMemory}); err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Submit(task.Copy, task.MemoryRegion(make([]byte, 4<<20)), task.PosixPath("m://", "f"), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Wait(id, time.Nanosecond)
+	if !errors.Is(err, nornsctl.ErrTimeout) || !errors.Is(err, apierr.ErrTimeout) || !apierr.IsRetryable(err) {
+		t.Fatalf("Wait(1ns) = %v, want a retryable ErrTimeout", err)
+	}
+	if st, err := c.Wait(id, 30*time.Second); err != nil || st.Status != task.Finished {
+		t.Fatalf("Wait = %+v, %v", st, err)
 	}
 }

@@ -47,15 +47,18 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body io.Re
 
 // decodeError turns a non-2xx response into an *apierr.Error: the
 // envelope's code string when it parses, the HTTP status table
-// otherwise.
-func decodeError(resp *http.Response) error {
+// otherwise. env, when non-nil, receives the decoded envelope (a failed
+// import's partial summary rides in it).
+func decodeError(resp *http.Response, env *errorBody) error {
+	if env == nil {
+		env = new(errorBody)
+	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-	var env errorBody
 	code := apierr.FromHTTPStatus(resp.StatusCode)
 	msg := strings.TrimSpace(string(body))
-	if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
+	if err := json.Unmarshal(body, env); err == nil && env.Error.Code != "" {
 		msg = env.Error.Message
-		if parsed, ok := statusCodeOf(env.Error.Code); ok {
+		if parsed, ok := proto.ParseStatusCode(env.Error.Code); ok {
 			code = parsed
 		}
 	}
@@ -63,21 +66,6 @@ func decodeError(resp *http.Response) error {
 		msg = resp.Status
 	}
 	return &apierr.Error{API: "gateway", Code: code, Msg: msg}
-}
-
-// statusCodeOf parses a protocol status name ("NORNS_EAGAIN") back to
-// its code.
-func statusCodeOf(name string) (proto.StatusCode, bool) {
-	for _, c := range []proto.StatusCode{
-		proto.Success, proto.EBadRequest, proto.ENotFound, proto.EExists,
-		proto.EPermission, proto.ETaskError, proto.ETimeout, proto.EAgain,
-		proto.EInternal,
-	} {
-		if c.String() == name {
-			return c, true
-		}
-	}
-	return proto.EInternal, false
 }
 
 // doJSON runs one request and decodes a 2xx JSON body into out.
@@ -95,7 +83,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body io.Reader
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return decodeError(resp)
+		return decodeError(resp, nil)
 	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
@@ -178,7 +166,7 @@ func (c *Client) Export(ctx context.Context, w io.Writer, state string) (int, er
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return 0, decodeError(resp)
+		return 0, decodeError(resp, nil)
 	}
 	count, _ := strconv.Atoi(resp.Header.Get("X-Norns-Tasks"))
 	if _, err := io.Copy(w, resp.Body); err != nil {
@@ -229,20 +217,9 @@ func (c *Client) Import(ctx context.Context, r io.Reader, opts ImportOptions) (*
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		var env struct {
-			Error  errorInfo     `json:"error"`
-			Import *ImportResult `json:"import"`
-		}
-		code := apierr.FromHTTPStatus(resp.StatusCode)
-		msg := strings.TrimSpace(string(body))
-		if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
-			msg = env.Error.Message
-			if parsed, ok := statusCodeOf(env.Error.Code); ok {
-				code = parsed
-			}
-		}
-		return env.Import, &apierr.Error{API: "gateway", Code: code, Msg: msg}
+		var env errorBody
+		err := decodeError(resp, &env)
+		return env.Import, err
 	}
 	var res ImportResult
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
@@ -295,7 +272,7 @@ func (c *Client) Events(ctx context.Context, ids []uint64, progressMS int64, fn 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return decodeError(resp)
+		return decodeError(resp, nil)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)

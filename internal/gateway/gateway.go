@@ -197,9 +197,11 @@ func (s *Server) authenticate(next http.Handler) http.Handler {
 // their own peer.
 var httpPeer = transport.PeerInfo{Control: true, Addr: "http"}
 
-// errorBody is the JSON error envelope.
+// errorBody is the JSON error envelope. A failed import also carries
+// its summary so far.
 type errorBody struct {
-	Error errorInfo `json:"error"`
+	Error  errorInfo     `json:"error"`
+	Import *ImportResult `json:"import,omitempty"`
 }
 
 type errorInfo struct {

@@ -160,10 +160,7 @@ func importError(w http.ResponseWriter, httpStatus int, code proto.StatusCode, m
 	if httpStatus == 0 {
 		httpStatus = apierr.HTTPStatus(code)
 	}
-	writeJSON(w, httpStatus, struct {
-		Error  errorInfo    `json:"error"`
-		Import ImportResult `json:"import"`
-	}{errorInfo{Code: code.String(), Message: msg}, *res})
+	writeJSON(w, httpStatus, errorBody{Error: errorInfo{Code: code.String(), Message: msg}, Import: res})
 }
 
 // lineError classifies a reader failure: oversize lines are 413 with

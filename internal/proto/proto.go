@@ -156,32 +156,37 @@ const (
 	EUnavailable
 )
 
+// statusNames is the one name table for status codes: String renders
+// it and ParseStatusCode inverts it.
+var statusNames = [...]string{
+	Success:      "NORNS_SUCCESS",
+	EBadRequest:  "NORNS_EBADREQUEST",
+	ENotFound:    "NORNS_ENOTFOUND",
+	EExists:      "NORNS_EEXISTS",
+	EPermission:  "NORNS_EPERMISSION",
+	ETaskError:   "NORNS_ETASKERROR",
+	ETimeout:     "NORNS_ETIMEOUT",
+	EInternal:    "NORNS_EINTERNAL",
+	EAgain:       "NORNS_EAGAIN",
+	EUnavailable: "NORNS_EUNAVAILABLE",
+}
+
 // String returns the code name.
 func (s StatusCode) String() string {
-	switch s {
-	case Success:
-		return "NORNS_SUCCESS"
-	case EBadRequest:
-		return "NORNS_EBADREQUEST"
-	case ENotFound:
-		return "NORNS_ENOTFOUND"
-	case EExists:
-		return "NORNS_EEXISTS"
-	case EPermission:
-		return "NORNS_EPERMISSION"
-	case ETaskError:
-		return "NORNS_ETASKERROR"
-	case ETimeout:
-		return "NORNS_ETIMEOUT"
-	case EInternal:
-		return "NORNS_EINTERNAL"
-	case EAgain:
-		return "NORNS_EAGAIN"
-	case EUnavailable:
-		return "NORNS_EUNAVAILABLE"
-	default:
-		return fmt.Sprintf("NORNS_E(%d)", uint32(s))
+	if int(s) < len(statusNames) {
+		return statusNames[s]
 	}
+	return fmt.Sprintf("NORNS_E(%d)", uint32(s))
+}
+
+// ParseStatusCode parses a code name ("NORNS_EAGAIN") back to its code.
+func ParseStatusCode(name string) (StatusCode, bool) {
+	for code, n := range statusNames {
+		if n == name {
+			return StatusCode(code), true
+		}
+	}
+	return EInternal, false
 }
 
 // ResourceSpec is the wire form of a task resource. For Memory
@@ -656,8 +661,6 @@ type SubscribeSpec struct {
 	// what batch task handles ride on — under a deep backlog a task
 	// otherwise pushes pending, running, AND terminal events, tripling
 	// the push traffic for consumers that only resolve on the outcome.
-	// Daemons older than this field ignore it and send everything,
-	// which such consumers already tolerate.
 	TerminalOnly bool
 }
 
@@ -1330,8 +1333,8 @@ type Response struct {
 	DaemonInfo string
 	// Metrics carries the OpTransferStats report.
 	Metrics *TransferMetrics
-	// StatusInfo carries the structured OpStatus report (the DaemonInfo
-	// text remains for older clients).
+	// StatusInfo carries the structured OpStatus report; DaemonInfo
+	// carries its one-line text form.
 	StatusInfo *DaemonStatus
 	// Results carries the per-entry outcomes of an OpSubmitBatch,
 	// aligned with the request's Tasks slice.

@@ -462,3 +462,32 @@ func TestEventKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestStatusCodeNamesRoundTrip: every status code has its own name, and
+// ParseStatusCode maps each name back to its code.
+func TestStatusCodeNamesRoundTrip(t *testing.T) {
+	codes := []StatusCode{
+		Success, EBadRequest, ENotFound, EExists, EPermission,
+		ETaskError, ETimeout, EInternal, EAgain, EUnavailable,
+	}
+	if len(codes) != len(statusNames) {
+		t.Fatalf("%d codes listed, %d names", len(codes), len(statusNames))
+	}
+	seen := make(map[string]bool)
+	for _, code := range codes {
+		name := code.String()
+		if name == "" || seen[name] {
+			t.Fatalf("code %d has missing or duplicate name %q", uint32(code), name)
+		}
+		seen[name] = true
+		if got, ok := ParseStatusCode(name); !ok || got != code {
+			t.Fatalf("ParseStatusCode(%q) = %v, %v; want %v", name, got, ok, code)
+		}
+	}
+	if got, ok := ParseStatusCode(StatusCode(len(codes)).String()); ok {
+		t.Fatalf("unnamed code parsed as %v", got)
+	}
+	if _, ok := ParseStatusCode("NORNS_NOPE"); ok {
+		t.Fatal("unknown name parsed")
+	}
+}

@@ -163,6 +163,11 @@ func copyRange(ctx context.Context, dst io.WriterAt, src io.ReaderAt, off, lengt
 type offload struct {
 	rc     storage.RangeCopier
 	broken atomic.Bool
+	// proven is set once a kernel copy has succeeded. Until then the
+	// parallel segment streams probe one at a time under probeMu, so a
+	// refusing pair is probed once per transfer, not once per stream.
+	proven  atomic.Bool
+	probeMu sync.Mutex
 }
 
 // newOffload probes dstFS for the kernel range-copy capability; the
@@ -180,6 +185,29 @@ func newOffload(dstFS storage.FS, disabled bool) *offload {
 
 // active reports whether the offload path should still be probed.
 func (o *offload) active() bool { return o != nil && !o.broken.Load() }
+
+// copyWindow runs one kernel range copy, serialized with the other
+// streams' copies until the first success proves the pair. A stream
+// that waited behind a refused probe gets the refusal without a call.
+func (o *offload) copyWindow(dst io.WriterAt, src io.ReaderAt, off, n int64) (int64, error) {
+	if !o.proven.Load() {
+		o.probeMu.Lock()
+		defer o.probeMu.Unlock()
+		if o.broken.Load() {
+			return 0, storage.ErrOffloadUnsupported
+		}
+	}
+	wn, err := o.rc.CopyRange(dst, off, src, off, n)
+	switch {
+	case err == nil:
+		o.proven.Store(true)
+	case errors.Is(err, storage.ErrOffloadUnsupported):
+		// Trip the flag before the lock drops: a stream queued behind
+		// this probe must see the refusal, not probe again.
+		o.broken.Store(true)
+	}
+	return wn, err
+}
 
 // copyRangeOffload moves [off, off+length) from src to dst like
 // copyRange, but through the kernel (copy_file_range/sendfile) so the
@@ -200,14 +228,16 @@ func copyRangeOffload(ctx context.Context, o *offload, dst io.WriterAt, src io.R
 			n, err := copyRange(ctx, dst, src, off+done, length-done, bufSize, lim, progress)
 			return done + n, err
 		}
+		// Probes (before the first success) are one window long too, so
+		// the streams queued behind one wait for a window, not a segment.
 		window := length - done
-		if !lim.unlimited() && window > int64(bufSize) {
+		if (!lim.unlimited() || !o.proven.Load()) && window > int64(bufSize) {
 			window = int64(bufSize)
 		}
 		if err := lim.wait(ctx, int(window)); err != nil {
 			return done, err
 		}
-		wn, err := o.rc.CopyRange(dst, off+done, src, off+done, window)
+		wn, err := o.copyWindow(dst, src, off+done, window)
 		if wn > 0 {
 			done += wn
 			if progress != nil {
@@ -220,8 +250,7 @@ func copyRangeOffload(ctx context.Context, o *offload, dst io.WriterAt, src io.R
 				// src/dst pair) cannot be served in-kernel. The window
 				// already admitted through the limiter is at most one
 				// bufSize over-admission, paid back by the bucket's debt
-				// model.
-				o.broken.Store(true)
+				// model. copyWindow has tripped the sticky flag.
 				continue
 			}
 			if errors.Is(err, io.ErrUnexpectedEOF) {

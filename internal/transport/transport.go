@@ -284,9 +284,8 @@ func (c *Conn) readLoop() {
 		if resp.Seq == 0 {
 			// Unsolicited push frame: no Call ever uses Seq 0, so this
 			// can only be a server-initiated event. Deliver it out of
-			// band; frames without an event payload (an older daemon
-			// misbehaving) are dropped silently, mirroring protobuf's
-			// unknown-field tolerance.
+			// band; frames without an event payload are dropped
+			// silently, mirroring protobuf's unknown-field tolerance.
 			if resp.HasEvent {
 				c.deliverEvent(resp.Event)
 			}
@@ -381,6 +380,11 @@ func (c *Conn) deliverEvent(ev proto.Event) {
 func (c *Conn) fail(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		// A local Close: the read loop's "use of closed network
+		// connection" is its echo, not the cause.
+		err = ErrConnClosed
+	}
 	if c.err == nil {
 		c.err = err
 		if c.events != nil {

@@ -207,11 +207,15 @@ func TestServerCloseFailsInflight(t *testing.T) {
 }
 
 func TestClientCloseFailsPending(t *testing.T) {
+	release := make(chan struct{})
 	h := func(peer PeerInfo, req *proto.Request) *proto.Response {
-		time.Sleep(time.Hour) // never responds in test lifetime
+		<-release // never responds while the test body runs
 		return &proto.Response{}
 	}
 	_, addr := startServer(t, "unix", false, h)
+	// Server.Close waits for in-flight handlers; cleanups run last-in
+	// first-out, so the handler is released before the server closes.
+	t.Cleanup(func() { close(release) })
 	c, err := Dial("unix", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -1909,15 +1909,14 @@ func (d *Daemon) handleSubmitBatch(peer transport.PeerInfo, req *proto.Request) 
 	// attached before the accepted tasks become runnable — one RPC
 	// replaces the old submit-then-subscribe pair, and because nothing
 	// can have transitioned yet, no per-task snapshot events are needed
-	// at all. Clients detect support by SubID != 0 and fall back to the
-	// separate OpSubscribe RPC against older daemons.
+	// at all. SubID 0 with accepted tasks means no subscription exists.
 	var subscribe func(ids []uint64) uint64
 	if req.Subscribe != nil && peer.Push != nil {
 		subscribe = func(ids []uint64) uint64 {
 			subID, err := d.hub.SubscribeSubmitted(req.Subscribe, ids,
 				Pusher{Push: peer.Push, PushBatch: peer.PushBatch}, peer.Closed)
 			if err != nil {
-				return 0 // hub closing: the client falls back to OpSubscribe
+				return 0 // hub closing: the client fails the accepted handles
 			}
 			return subID
 		}
