@@ -1,21 +1,31 @@
-// Package bufpool is the shared recycling pool for transfer-sized copy
+// Package bufpool is the shared recycling pool for transfer-sized
 // buffers: the segment engine's copy chunks, the sequential-fallback
-// streams, and mercury's bulk-transfer chunks all draw from it instead
-// of allocating a fresh buffer (hundreds of KiB each) per stream.
-// Buffers are pooled as *[]byte so the pool interface itself does not
-// allocate.
+// streams, mercury's bulk-transfer chunks and its received bulk frames
+// all draw from it instead of allocating a fresh buffer (hundreds of
+// KiB each) per stream or per frame. Buffers are pooled as *[]byte so
+// the pool interface itself does not allocate.
 //
 // A process runs with a small set of chunk sizes, so pooled capacities
 // converge; a pooled buffer too small for the requested size is
-// dropped and replaced, and buffers beyond MaxRetained never enter the
-// pool so one oversized tuning experiment cannot pin its footprint.
+// dropped and replaced, and buffers beyond MaxRetained plus Headroom
+// never enter the pool so one oversized tuning experiment cannot pin
+// its footprint.
 package bufpool
 
 import "sync"
 
-// MaxRetained bounds the buffer capacity the pool keeps. 16 MiB covers
-// the largest bulk-chunk tuning the ablations sweep.
+// MaxRetained bounds the chunk size the pool keeps buffers for. 16 MiB
+// covers the largest bulk-chunk tuning the ablations sweep.
 const MaxRetained = 16 << 20
+
+// Headroom is the spare capacity a fresh buffer gets past its requested
+// size, rounded to a multiple of Headroom. A buffer sized for a bulk
+// chunk then also holds that chunk's received wire frame — the chunk
+// plus a header of under 64 bytes — and both round to the same
+// capacity, so chunk and frame buffers recycle through one pool instead
+// of dropping each other. Buffers up to MaxRetained+Headroom are
+// retained.
+const Headroom = 64
 
 var pool sync.Pool
 
@@ -25,7 +35,7 @@ func Get(size int) *[]byte {
 		*p = (*p)[:size]
 		return p
 	}
-	b := make([]byte, size)
+	b := make([]byte, size, (size+Headroom)&^(Headroom-1))
 	return &b
 }
 
@@ -34,7 +44,7 @@ func Get(size int) *[]byte {
 // abandoned goroutine may still write into must be leaked to the GC
 // instead.
 func Put(p *[]byte) {
-	if cap(*p) > MaxRetained {
+	if cap(*p) > MaxRetained+Headroom {
 		return
 	}
 	pool.Put(p)

@@ -12,12 +12,16 @@
 //
 // Trust model (the onedrive-go sync-engine lesson: hash before you
 // trust, mtime is not identity): an entry written by this process is
-// verified at commit time — the fill's bytes are re-hashed and the
-// rename only happens on a match. Entries found on disk at Open (a
-// restart) are loaded as unverified; the first serve re-hashes them en
-// route to the destination and either promotes them to verified or
-// quarantines them. Only verified entries may be served through the
-// zero-copy RangeCopier offload path, which cannot hash in flight.
+// verified at commit time, and the rename only happens on a digest
+// match. A fill hashes its bytes as they are written, so it is verified
+// without reading the segment back; every fill is fed by one in-order
+// bulk pull, and a fill whose writes did not arrive front to back, or
+// failed, is rejected at Commit. Entries
+// found on disk at Open (a restart) are loaded as unverified; the first
+// serve re-hashes them en route to the destination and either promotes
+// them to verified or quarantines them. Only verified entries may be
+// served through the zero-copy RangeCopier offload path, which cannot
+// hash in flight.
 //
 // Eviction is size-bounded LRU. Serving opens the entry's file before
 // eviction can unlink it, so a reader racing an eviction keeps a valid
@@ -31,11 +35,14 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"github.com/ngioproject/norns-go/internal/bufpool"
 )
 
 // DigestLen is the byte length of a segment digest (SHA-256).
@@ -350,6 +357,14 @@ type Fill struct {
 	f      *os.File
 	tmp    string
 	done   bool
+
+	// Hash-as-written state: h has absorbed exactly the bytes [0,hashed)
+	// the fill wrote, in order. A write that does not extend that prefix
+	// exactly, or that fails, sets broken and Commit rejects the fill.
+	mu     sync.Mutex
+	h      hash.Hash
+	hashed int64
+	broken bool
 }
 
 // BeginFill starts filling the entry for (dataspace, digest). It
@@ -372,15 +387,33 @@ func (c *Cache) BeginFill(dataspace string, digest []byte, size int64) (*Fill, e
 		c.mu.Unlock()
 		return nil, fmt.Errorf("cascache: %w", err)
 	}
-	return &Fill{c: c, key: k, digest: digest, size: size, f: f, tmp: f.Name()}, nil
+	return &Fill{c: c, key: k, digest: digest, size: size, f: f, tmp: f.Name(), h: sha256.New()}, nil
 }
 
-// WriteAt writes segment bytes at their segment-relative offset.
-func (fl *Fill) WriteAt(p []byte, off int64) (int, error) { return fl.f.WriteAt(p, off) }
+// WriteAt writes segment bytes at their segment-relative offset and
+// hashes them on the way. Writes must arrive in order, front to back;
+// any other write, or a failed one, dooms the fill to rejection.
+func (fl *Fill) WriteAt(p []byte, off int64) (int, error) {
+	n, err := fl.f.WriteAt(p, off)
+	fl.mu.Lock()
+	if err == nil && !fl.broken && off == fl.hashed {
+		fl.h.Write(p[:n])
+		fl.hashed += int64(n)
+	} else {
+		fl.broken = true
+	}
+	fl.mu.Unlock()
+	return n, err
+}
 
 // errDigest is returned by Commit when the filled bytes do not hash to
 // the entry's digest.
 var errDigest = errors.New("cascache: fill content does not match digest")
+
+// errUnordered is returned by Commit when the fill's writes did not
+// cover the segment front to back without a failure, so the hash taken
+// as they landed does not describe the file.
+var errUnordered = errors.New("cascache: fill not written in order")
 
 // Commit verifies the filled content against the digest and publishes
 // the entry with an atomic rename. On any failure the temp file is
@@ -433,7 +466,8 @@ func (fl *Fill) Commit() error {
 	return nil
 }
 
-// verify re-hashes the temp file and checks size and digest.
+// verify checks the temp file's size and the digest of the bytes hashed
+// as they were written.
 func (fl *Fill) verify() error {
 	info, err := fl.f.Stat()
 	if err != nil {
@@ -442,11 +476,12 @@ func (fl *Fill) verify() error {
 	if info.Size() != fl.size {
 		return fmt.Errorf("cascache: fill size %d, want %d", info.Size(), fl.size)
 	}
-	h := sha256.New()
-	if _, err := io.Copy(h, io.NewSectionReader(fl.f, 0, fl.size)); err != nil {
-		return fmt.Errorf("cascache: %w", err)
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	if fl.broken || fl.hashed != fl.size {
+		return errUnordered
 	}
-	if !equalDigest(h.Sum(nil), fl.digest) {
+	if !equalDigest(fl.h.Sum(nil), fl.digest) {
 		return errDigest
 	}
 	return nil
@@ -491,7 +526,9 @@ func HashSegments(r io.ReaderAt, size, segSize int64) ([][]byte, error) {
 	}
 	n := (size + segSize - 1) / segSize
 	out := make([][]byte, 0, n)
-	buf := make([]byte, minInt64(segSize, 1<<20))
+	bufp := bufpool.Get(1 << 20)
+	defer bufpool.Put(bufp)
+	buf := *bufp
 	for off := int64(0); off < size; off += segSize {
 		segLen := minInt64(segSize, size-off)
 		h := sha256.New()

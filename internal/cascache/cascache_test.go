@@ -3,6 +3,7 @@ package cascache
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -327,5 +328,143 @@ func TestHashSegments(t *testing.T) {
 	}
 	if _, err := io.ReadAll(bytes.NewReader(nil)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// writeChunks writes content into fl in chunk-sized pieces, in the
+// given chunk order.
+func writeChunks(t *testing.T, fl *Fill, content []byte, chunk int, order []int) {
+	t.Helper()
+	for _, i := range order {
+		end := min((i+1)*chunk, len(content))
+		if _, err := fl.WriteAt(content[i*chunk:end], int64(i*chunk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFillHashesInOrderWrites: a fill written front to back is hashed
+// as it lands, so Commit needs no re-read.
+func TestFillHashesInOrderWrites(t *testing.T) {
+	c, err := Open(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := bytes.Repeat([]byte("in order "), 1000)
+	sum := sha256.Sum256(content)
+	fl, err := c.BeginFill("ds://", sum[:], int64(len(content)))
+	if err != nil || fl == nil {
+		t.Fatalf("BeginFill: %v %v", fl, err)
+	}
+	writeChunks(t, fl, content, 1000, []int{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	if fl.broken || fl.hashed != int64(len(content)) {
+		t.Fatalf("in-order fill: broken=%v hashed=%d of %d", fl.broken, fl.hashed, len(content))
+	}
+	if err := fl.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := c.Get("ds://", sum[:], int64(len(content)))
+	if !ok || !e.Verified() {
+		t.Fatalf("committed entry: ok=%v", ok)
+	}
+	e.Close()
+}
+
+// TestFillOutOfOrder: writes that do not extend the hashed prefix —
+// reordered chunks, or a chunk rewritten after an in-order pass — leave
+// a hash that does not describe the file, so Commit rejects the fill
+// and publishes nothing, even when the bytes on disk end up right.
+func TestFillOutOfOrder(t *testing.T) {
+	content := make([]byte, 8<<10) // every 1 KiB chunk distinct
+	for i := range content {
+		content[i] = byte(i*7 + i>>10)
+	}
+	sum := sha256.Sum256(content)
+	wrong := bytes.Repeat([]byte("X"), 1024)
+	cases := []struct {
+		name  string
+		write func(t *testing.T, fl *Fill)
+	}{
+		{"reversed", func(t *testing.T, fl *Fill) {
+			writeChunks(t, fl, content, 1024, []int{7, 6, 5, 4, 3, 2, 1, 0})
+		}},
+		{"interleaved", func(t *testing.T, fl *Fill) {
+			writeChunks(t, fl, content, 1024, []int{0, 2, 1, 3, 5, 4, 7, 6})
+		}},
+		{"in-order-then-overwritten", func(t *testing.T, fl *Fill) {
+			writeChunks(t, fl, content, 1024, []int{0, 1, 2, 3, 4, 5, 6, 7})
+			fl.WriteAt(wrong, 2*1024)
+		}},
+		{"in-order-wrong-then-repaired", func(t *testing.T, fl *Fill) {
+			writeChunks(t, fl, content, 1024, []int{0, 1})
+			fl.WriteAt(wrong, 2*1024)
+			writeChunks(t, fl, content, 1024, []int{3, 4, 5, 6, 7, 2})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Open(t.TempDir(), 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fl, err := c.BeginFill("ds://", sum[:], int64(len(content)))
+			if err != nil || fl == nil {
+				t.Fatalf("BeginFill: %v %v", fl, err)
+			}
+			tc.write(t, fl)
+			if err := fl.Commit(); !errors.Is(err, errUnordered) {
+				t.Fatalf("Commit = %v, want %v", err, errUnordered)
+			}
+			if _, ok := c.Get("ds://", sum[:], int64(len(content))); ok {
+				t.Fatal("out-of-order fill was published")
+			}
+			// The key is free again: an in-order refill commits.
+			fl, err = c.BeginFill("ds://", sum[:], int64(len(content)))
+			if err != nil || fl == nil {
+				t.Fatalf("BeginFill after rejection: %v %v", fl, err)
+			}
+			writeChunks(t, fl, content, 1024, []int{0, 1, 2, 3, 4, 5, 6, 7})
+			if err := fl.Commit(); err != nil {
+				t.Fatalf("in-order refill: %v", err)
+			}
+		})
+	}
+}
+
+// TestFillFailedWriteRejected: a write that fails partway through a
+// fill leaves a hole in the temp file. The bytes that were handed to
+// the failed write must not count as written: even when the writer
+// carries on with every later chunk, Commit rejects the fill.
+func TestFillFailedWriteRejected(t *testing.T) {
+	c, err := Open(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := bytes.Repeat([]byte("failed write "), 700)
+	sum := sha256.Sum256(content)
+	fl, err := c.BeginFill("ds://", sum[:], int64(len(content)))
+	if err != nil || fl == nil {
+		t.Fatalf("BeginFill: %v %v", fl, err)
+	}
+	writeChunks(t, fl, content, 1000, []int{0, 1})
+	// Fail the third chunk's write at its own offset: the fill's
+	// descriptor is briefly swapped for a read-only one.
+	good := fl.f
+	ro, err := os.Open(fl.tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl.f = ro
+	if _, err := fl.WriteAt(content[2000:3000], 2000); err == nil {
+		t.Fatal("write through a read-only descriptor succeeded")
+	}
+	fl.f = good
+	ro.Close()
+	writeChunks(t, fl, content, 1000, []int{3, 4, 5, 6, 7, 8, 9})
+	if err := fl.Commit(); !errors.Is(err, errUnordered) {
+		t.Fatalf("Commit = %v, want %v", err, errUnordered)
+	}
+	if _, ok := c.Get("ds://", sum[:], int64(len(content))); ok {
+		t.Fatal("fill with a failed write was published")
 	}
 }

@@ -282,18 +282,26 @@ func (c *Class) provider(id uint64) (BulkProvider, error) {
 func (c *Class) serveConn(conn net.Conn) {
 	defer conn.Close()
 	fr := wire.NewFrameReader(conn)
-	fw := wire.NewFrameWriter(conn)
-	var wmu sync.Mutex
-	send := func(m *message) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		return fw.WriteMessage(m)
-	}
+	w := newConnWriter(conn)
 	// pushes tracks in-progress inbound bulk pushes by seq.
 	pushes := make(map[uint64]*pushState)
+	// Every frame is handled inline — a pushed chunk is written out
+	// before the next read — so the payload aliases the frame, which is
+	// recycled at the top of the next iteration. m is reused for the
+	// same reason the endpoint read loop reuses its message.
+	m := new(message)
+	var frame *[]byte
 	for {
-		var m message
-		if err := fr.ReadMessage(&m); err != nil {
+		if frame != nil {
+			bufpool.Put(frame)
+		}
+		msg, f, err := fr.ReadPooledFrame()
+		if err != nil {
+			return
+		}
+		frame = f
+		*m = message{}
+		if err := wire.Unmarshal(msg, m); err != nil {
 			return
 		}
 		switch m.Kind {
@@ -301,7 +309,9 @@ func (c *Class) serveConn(conn net.Conn) {
 			c.mu.RLock()
 			h := c.handlers[m.Name]
 			c.mu.RUnlock()
-			req := m
+			req := *m
+			// The handler runs past this frame's lifetime.
+			req.Payload = append([]byte(nil), m.Payload...)
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
@@ -313,16 +323,16 @@ func (c *Class) serveConn(conn net.Conn) {
 				} else {
 					resp.Payload = out
 				}
-				if err := send(&resp); err != nil {
+				if err := w.send(&resp); err != nil {
 					conn.Close()
 				}
 			}()
 		case kindBulkPull:
-			req := m
+			req := *m
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
-				if err := c.serveBulkPull(&req, send); err != nil {
+				if err := c.serveBulkPull(&req, w); err != nil {
 					conn.Close()
 				}
 			}()
@@ -352,7 +362,7 @@ func (c *Class) serveConn(conn net.Conn) {
 			}
 			delete(pushes, m.Seq)
 			resp := message{Seq: m.Seq, Kind: kindBulkAck, Count: st.written, Err: st.err}
-			if err := send(&resp); err != nil {
+			if err := w.send(&resp); err != nil {
 				return
 			}
 		}
@@ -369,24 +379,36 @@ type pushState struct {
 // While a provider read is slow — typically blocked on a bandwidth
 // governor — keepalive frames go out so the pulling peer's idle
 // deadline measures silence, not throttling.
-func (c *Class) serveBulkPull(req *message, send func(*message) error) error {
+func (c *Class) serveBulkPull(req *message, w *connWriter) error {
 	p, err := c.provider(req.Handle)
 	if err != nil {
-		return send(&message{Seq: req.Seq, Kind: kindBulkAck, Err: err.Error()})
+		return w.send(&message{Seq: req.Seq, Kind: kindBulkAck, Err: err.Error()})
 	}
 	off, count := req.Offset, req.Count
 	if count <= 0 {
 		count = p.Size() - off
 	}
-	// One ticker and result channel serve the whole pull (a spurious
-	// keepalive between chunks is harmless); only the blocking-read
-	// goroutine is per chunk, since a blocked ReadAt cannot otherwise be
-	// waited on alongside the ticker.
+	// One ticker, one reader goroutine and its channels serve the whole
+	// pull (a spurious keepalive between chunks is harmless): a blocked
+	// ReadAt cannot otherwise be waited on alongside the ticker, and a
+	// goroutine per chunk would cost an allocation per chunk.
+	type readReq struct {
+		b  []byte
+		at int64
+	}
 	type readResult struct {
 		n   int
 		err error
 	}
+	reqs := make(chan readReq)
 	rc := make(chan readResult, 1)
+	go func() {
+		for r := range reqs {
+			n, err := p.ReadAt(r.b, r.at)
+			rc <- readResult{n, err}
+		}
+	}()
+	defer close(reqs)
 	tick := time.NewTicker(c.keepalive)
 	defer tick.Stop()
 	// The chunk buffer is pooled — except when a read is abandoned mid-
@@ -401,20 +423,18 @@ func (c *Class) serveBulkPull(req *message, send func(*message) error) error {
 		}
 	}()
 	readKeepalive := func(b []byte, at int64) (int, error) {
-		go func() {
-			n, err := p.ReadAt(b, at)
-			rc <- readResult{n, err}
-		}()
+		reqs <- readReq{b, at}
 		for {
 			select {
 			case r := <-rc:
 				return r.n, r.err
 			case <-tick.C:
-				if err := send(&message{Seq: req.Seq, Kind: kindBulkKeepalive}); err != nil {
+				if err := w.send(&message{Seq: req.Seq, Kind: kindBulkKeepalive}); err != nil {
 					// Connection gone; the in-flight read drains into the
-					// buffered channel and is collected. The caller
-					// returns immediately, so the channel is never reused
-					// after an abandoned read.
+					// buffered channel and the reader then exits on the
+					// closed request channel. The caller returns
+					// immediately, so the channel is never reused after
+					// an abandoned read.
 					abandoned = true
 					return 0, err
 				}
@@ -430,7 +450,7 @@ func (c *Class) serveBulkPull(req *message, send func(*message) error) error {
 		}
 		read, rerr := readKeepalive(buf[:n], off+sent)
 		if read > 0 {
-			if err := send(&message{Seq: req.Seq, Kind: kindBulkData, Offset: off + sent, Payload: buf[:read]}); err != nil {
+			if err := w.sendData(req.Seq, off+sent, buf[:read]); err != nil {
 				return err
 			}
 			sent += int64(read)
@@ -439,10 +459,10 @@ func (c *Class) serveBulkPull(req *message, send func(*message) error) error {
 			if rerr == io.EOF {
 				break
 			}
-			return send(&message{Seq: req.Seq, Kind: kindBulkAck, Count: sent, Err: rerr.Error()})
+			return w.send(&message{Seq: req.Seq, Kind: kindBulkAck, Count: sent, Err: rerr.Error()})
 		}
 	}
-	return send(&message{Seq: req.Seq, Kind: kindBulkAck, Count: sent})
+	return w.send(&message{Seq: req.Seq, Kind: kindBulkAck, Count: sent})
 }
 
 // Lookup returns a (cached) endpoint for the given address.

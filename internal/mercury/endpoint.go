@@ -29,11 +29,10 @@ type Endpoint struct {
 	// this address; nil when breaking is disabled on the class.
 	brk *breaker
 
-	wmu sync.Mutex
-	fw  *wire.FrameWriter
+	w *connWriter
 
 	mu      sync.Mutex
-	pending map[uint64]chan *message
+	pending map[uint64]chan message
 	nextSeq uint64
 	err     error
 	closed  bool
@@ -51,8 +50,8 @@ func newEndpoint(c *Class, conn net.Conn, addr string) *Endpoint {
 		conn:    conn,
 		addr:    addr,
 		brk:     c.breakerFor(addr),
-		fw:      wire.NewFrameWriter(conn),
-		pending: make(map[uint64]chan *message),
+		w:       newConnWriter(conn),
+		pending: make(map[uint64]chan message),
 		failed:  make(chan struct{}),
 	}
 	go ep.readLoop()
@@ -62,27 +61,54 @@ func newEndpoint(c *Class, conn net.Conn, addr string) *Endpoint {
 // Addr returns the remote address.
 func (ep *Endpoint) Addr() string { return ep.addr }
 
+// bulkReadAhead is how many received chunks one pull may queue ahead
+// of its consumer: 1 MiB at the default chunk size. Past it the read
+// loop blocks and TCP backpressure throttles the sender.
+const bulkReadAhead = 4
+
 func (ep *Endpoint) readLoop() {
 	fr := wire.NewFrameReader(ep.conn)
+	// One message decodes every frame and travels by value: a fresh one
+	// handed to the Unmarshaler interface would cost a heap object per
+	// frame.
+	m := new(message)
 	for {
-		var m message
-		if err := fr.ReadMessage(&m); err != nil {
+		msg, frame, err := fr.ReadPooledFrame()
+		if err == nil {
+			*m = message{}
+			err = wire.Unmarshal(msg, m)
+		}
+		if err != nil {
 			ep.fail(errEndpointClosed)
 			return
+		}
+		if m.Kind == kindBulkData && frame != nil {
+			// The chunk stays in the frame it landed in; the consumer
+			// releases the frame once the chunk is written out.
+			m.frame = frame
+		} else {
+			// Other payloads (RPC responses) outlive their frame, which
+			// is the reader's scratch or goes straight back to the pool.
+			m.Payload = append([]byte(nil), m.Payload...)
+			if frame != nil {
+				bufpool.Put(frame)
+			}
 		}
 		ep.mu.Lock()
 		ch := ep.pending[m.Seq]
 		ep.mu.Unlock()
-		if ch != nil {
-			mm := m
-			// Blocking send is the bulk flow control (TCP backpressure
-			// when the consumer is slower); the failed arm releases the
-			// loop if the endpoint is torn down while the consumer is
-			// gone — channels are never closed, so this cannot panic.
-			select {
-			case ch <- &mm:
-			case <-ep.failed:
-			}
+		if ch == nil {
+			m.release()
+			continue
+		}
+		// Blocking send is the bulk flow control (TCP backpressure when
+		// the consumer is slower); the failed arm releases the loop if
+		// the endpoint is torn down while the consumer is gone —
+		// channels are never closed, so this cannot panic.
+		select {
+		case ch <- *m:
+		case <-ep.failed:
+			m.release()
 		}
 	}
 }
@@ -104,7 +130,7 @@ func (ep *Endpoint) broken() bool {
 
 // register allocates a sequence number with a response channel buffered
 // for streaming bulk data.
-func (ep *Endpoint) register(buffer int) (uint64, chan *message, error) {
+func (ep *Endpoint) register(buffer int) (uint64, chan message, error) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.err != nil {
@@ -114,21 +140,27 @@ func (ep *Endpoint) register(buffer int) (uint64, chan *message, error) {
 		return 0, nil, errEndpointClosed
 	}
 	ep.nextSeq++
-	ch := make(chan *message, buffer)
+	ch := make(chan message, buffer)
 	ep.pending[ep.nextSeq] = ch
 	return ep.nextSeq, ch, nil
 }
 
-func (ep *Endpoint) unregister(seq uint64) {
+func (ep *Endpoint) unregister(seq uint64, ch chan message) {
 	ep.mu.Lock()
 	delete(ep.pending, seq)
 	ep.mu.Unlock()
-}
-
-func (ep *Endpoint) send(m *message) error {
-	ep.wmu.Lock()
-	defer ep.wmu.Unlock()
-	return ep.fw.WriteMessage(m)
+	// A consumer that stops early (a failed destination write, a
+	// timeout) leaves chunks queued, and the read loop may be blocked
+	// delivering one more. Draining makes room for that last send, so a
+	// full channel nobody reads can never wedge the connection. The
+	// drained chunks' frames fall to the GC.
+	for {
+		select {
+		case <-ch:
+		default:
+			return
+		}
+	}
 }
 
 // recv waits for one message on ch, bounded by the class's RPC timeout
@@ -136,7 +168,7 @@ func (ep *Endpoint) send(m *message) error {
 // connection so the stuck readLoop exits and later lookups redial.
 // Messages already buffered are drained before the failure signal is
 // honored, so a response that won the race is never discarded.
-func (ep *Endpoint) recv(ch chan *message, timer *rpcTimer) (*message, error) {
+func (ep *Endpoint) recv(ch chan message, timer *rpcTimer) (message, error) {
 	select {
 	case m := <-ch:
 		return m, nil
@@ -147,18 +179,18 @@ func (ep *Endpoint) recv(ch chan *message, timer *rpcTimer) (*message, error) {
 		case m := <-ch:
 			return m, nil
 		case <-ep.failed:
-			return nil, ep.waitErr()
+			return message{}, ep.waitErr()
 		}
 	}
 	select {
 	case m := <-ch:
 		return m, nil
 	case <-ep.failed:
-		return nil, ep.waitErr()
+		return message{}, ep.waitErr()
 	case <-timer.c():
 		ep.fail(ErrRPCTimeout)
 		ep.conn.Close()
-		return nil, ErrRPCTimeout
+		return message{}, ErrRPCTimeout
 	}
 }
 
@@ -289,8 +321,8 @@ func (ep *Endpoint) forward(name string, payload []byte, timeout time.Duration) 
 		ep.breakerFailure()
 		return nil, err
 	}
-	defer ep.unregister(seq)
-	if err := ep.send(&message{Seq: seq, Kind: kindRPCRequest, Name: name, Payload: payload}); err != nil {
+	defer ep.unregister(seq, ch)
+	if err := ep.w.send(&message{Seq: seq, Kind: kindRPCRequest, Name: name, Payload: payload}); err != nil {
 		ep.fail(err)
 		ep.breakerFailure()
 		return nil, err
@@ -326,13 +358,13 @@ func (ep *Endpoint) BulkPull(h BulkHandle, offset, count int64, dst BulkProvider
 			return 0, fmt.Errorf("mercury: bulk pull: %w", err)
 		}
 	}
-	seq, ch, err := ep.register(64)
+	seq, ch, err := ep.register(bulkReadAhead)
 	if err != nil {
 		ep.breakerFailure()
 		return 0, err
 	}
-	defer ep.unregister(seq)
-	if err := ep.send(&message{Seq: seq, Kind: kindBulkPull, Handle: h.ID, Offset: offset, Count: count}); err != nil {
+	defer ep.unregister(seq, ch)
+	if err := ep.w.send(&message{Seq: seq, Kind: kindBulkPull, Handle: h.ID, Offset: offset, Count: count}); err != nil {
 		ep.fail(err)
 		ep.breakerFailure()
 		return 0, err
@@ -348,10 +380,13 @@ func (ep *Endpoint) BulkPull(h BulkHandle, offset, count int64, dst BulkProvider
 		}
 		switch m.Kind {
 		case kindBulkData:
-			if _, err := dst.WriteAt(m.Payload, m.Offset-offset); err != nil {
+			n := len(m.Payload)
+			_, err := dst.WriteAt(m.Payload, m.Offset-offset)
+			m.release()
+			if err != nil {
 				return got, err
 			}
-			got += int64(len(m.Payload))
+			got += int64(n)
 			if timer != nil {
 				timer.reset()
 			}
@@ -382,8 +417,8 @@ func (ep *Endpoint) BulkPush(h BulkHandle, src BulkProvider) (int64, error) {
 		ep.breakerFailure()
 		return 0, err
 	}
-	defer ep.unregister(seq)
-	if err := ep.send(&message{Seq: seq, Kind: kindBulkPush, Handle: h.ID}); err != nil {
+	defer ep.unregister(seq, ch)
+	if err := ep.w.send(&message{Seq: seq, Kind: kindBulkPush, Handle: h.ID}); err != nil {
 		ep.fail(err)
 		return 0, err
 	}
@@ -398,7 +433,7 @@ func (ep *Endpoint) BulkPush(h BulkHandle, src BulkProvider) (int64, error) {
 		}
 		read, rerr := src.ReadAt(buf[:n], off)
 		if read > 0 {
-			if err := ep.send(&message{Seq: seq, Kind: kindBulkData, Offset: off, Payload: buf[:read]}); err != nil {
+			if err := ep.w.sendData(seq, off, buf[:read]); err != nil {
 				ep.fail(err)
 				ep.breakerFailure()
 				return 0, err
@@ -409,7 +444,7 @@ func (ep *Endpoint) BulkPush(h BulkHandle, src BulkProvider) (int64, error) {
 			break
 		}
 	}
-	if err := ep.send(&message{Seq: seq, Kind: kindBulkAck}); err != nil {
+	if err := ep.w.send(&message{Seq: seq, Kind: kindBulkAck}); err != nil {
 		ep.fail(err)
 		ep.breakerFailure()
 		return 0, err

@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
+
+	"github.com/ngioproject/norns-go/internal/bufpool"
 )
 
 // Frames carry one encoded message each: a uvarint length prefix followed
@@ -58,6 +61,11 @@ const maxRetainedFrame = 1 << 20
 type FrameWriter struct {
 	w   io.Writer
 	buf []byte // reusable frame assembly: prefix + payload, one Write each
+	// iov and vec carry WriteMessagePayload's gathered write: vec is
+	// re-sliced from iov every frame (WriteTo consumes it), so the
+	// gather list never allocates.
+	iov [2][]byte
+	vec net.Buffers
 }
 
 // NewFrameWriter returns a FrameWriter over w.
@@ -135,6 +143,42 @@ func (fw *FrameWriter) WriteMessage(m Marshaler) error {
 	return fw.flush()
 }
 
+// WriteMessagePayload writes m followed by a bytes field (tag, payload)
+// as one frame, without copying payload: the length prefix, m's fields
+// and the field's key and length are encoded into the writer's buffer,
+// and that header and the caller's payload go out in one gathered
+// write (writev on a socket). The bytes on the wire are identical to
+// WriteMessage of a message whose MarshalWire ends with
+// e.Bytes(tag, payload). The writer keeps no reference to payload once
+// the call returns.
+func (fw *FrameWriter) WriteMessagePayload(m Marshaler, tag int, payload []byte) error {
+	e := GetEncoder()
+	own := e.buf
+	var prefix [framePrefixMax]byte
+	e.buf = append(fw.buf[:0], prefix[:]...)
+	m.MarshalWire(e)
+	e.key(tag, TypeBytes)
+	e.buf = binary.AppendUvarint(e.buf, uint64(len(payload)))
+	hdr := e.buf
+	e.buf = own
+	PutEncoder(e)
+	fw.buf = hdr[:0]
+	n := len(hdr) - framePrefixMax + len(payload)
+	if n > MaxMessageSize {
+		return ErrTooLarge
+	}
+	// Right-align the prefix in its reserved space: the header then
+	// starts wherever the prefix does, with no memmove.
+	ln := binary.PutUvarint(prefix[:], uint64(n))
+	start := framePrefixMax - ln
+	copy(hdr[start:], prefix[:ln])
+	fw.iov = [2][]byte{hdr[start:], payload}
+	fw.vec = fw.iov[:]
+	_, err := fw.vec.WriteTo(fw.w)
+	fw.iov = [2][]byte{}
+	return err
+}
+
 // FrameReader reads length-prefixed messages from an underlying reader.
 // It is not safe for concurrent use.
 type FrameReader struct {
@@ -153,22 +197,33 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // escape — strings, byte fields — which is the only copy a received
 // message pays).
 func (fr *FrameReader) ReadFrame() ([]byte, error) {
-	n, err := binary.ReadUvarint(fr.r)
+	n, err := fr.readLen()
 	if err != nil {
 		return nil, err
 	}
-	if n > MaxMessageSize {
-		return nil, fmt.Errorf("%w (frame of %d bytes)", ErrTooLarge, n)
+	return fr.readBody(n)
+}
+
+// readLen reads a frame's length prefix and bounds it.
+func (fr *FrameReader) readLen() (uint64, error) {
+	n, err := binary.ReadUvarint(fr.r)
+	if err != nil {
+		return 0, err
 	}
+	if n > MaxMessageSize {
+		return 0, fmt.Errorf("%w (frame of %d bytes)", ErrTooLarge, n)
+	}
+	return n, nil
+}
+
+// readBody reads the n-byte body of a frame into the scratch buffer.
+func (fr *FrameReader) readBody(n uint64) ([]byte, error) {
 	if uint64(cap(fr.buf)) < n {
 		fr.buf = make([]byte, n)
 	}
 	fr.buf = fr.buf[:n]
 	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
+		return nil, unexpectedEOF(err)
 	}
 	msg := fr.buf
 	if cap(fr.buf) > maxRetainedFrame {
@@ -177,6 +232,44 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 		fr.buf = nil
 	}
 	return msg, nil
+}
+
+// pooledFrameMin is the smallest frame ReadPooledFrame hands out in a
+// pooled buffer. Smaller frames (RPC requests and responses, acks, the
+// short tail of a bulk stream) stay in the reader's scratch buffer, so
+// they never seed the pool with buffers too small for a bulk chunk.
+const pooledFrameMin = 16 << 10
+
+// ReadPooledFrame reads one message like ReadFrame, except that a frame
+// of at least 16 KiB lands in a buffer from bufpool whose ownership
+// passes to the caller: pooled is non-nil, msg aliases it, and the
+// caller hands it back with bufpool.Put once nothing references msg any
+// more — or drops it to the GC. Smaller frames land in the reader's
+// scratch buffer exactly as with ReadFrame, valid until the next read,
+// and pooled is nil. A consumer can thus keep a large frame (a bulk
+// chunk) past the next read without copying it.
+func (fr *FrameReader) ReadPooledFrame() (msg []byte, pooled *[]byte, err error) {
+	n, err := fr.readLen()
+	if err != nil {
+		return nil, nil, err
+	}
+	if n < pooledFrameMin {
+		msg, err = fr.readBody(n)
+		return msg, nil, err
+	}
+	pooled = bufpool.Get(int(n))
+	if _, err := io.ReadFull(fr.r, *pooled); err != nil {
+		bufpool.Put(pooled)
+		return nil, nil, unexpectedEOF(err)
+	}
+	return *pooled, pooled, nil
+}
+
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // ParseFrame splits one length-prefixed frame off the front of buf,

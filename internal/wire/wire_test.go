@@ -276,3 +276,35 @@ func BenchmarkUnmarshal(b *testing.B) {
 		}
 	}
 }
+
+// TestReadPooledFrame: frames of 16 KiB and up come back in a pooled
+// buffer the caller owns — still intact after later reads — while
+// small frames use the reader's scratch like ReadFrame.
+func TestReadPooledFrame(t *testing.T) {
+	var buf bytes.Buffer
+	fw := NewFrameWriter(&buf)
+	big := bytes.Repeat([]byte("b"), 64<<10)
+	for _, p := range [][]byte{big, []byte("small"), bytes.Repeat([]byte("c"), 64<<10)} {
+		if err := fw.WriteFrame(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(&buf)
+	first, pooled, err := fr.ReadPooledFrame()
+	if err != nil || pooled == nil {
+		t.Fatalf("64 KiB frame: pooled=%v err=%v", pooled, err)
+	}
+	small, scratch, err := fr.ReadPooledFrame()
+	if err != nil || scratch != nil || string(small) != "small" {
+		t.Fatalf("small frame: %q pooled=%v err=%v", small, scratch, err)
+	}
+	if _, _, err := fr.ReadPooledFrame(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, big) {
+		t.Fatal("an owned frame changed under a later read")
+	}
+	if _, _, err := fr.ReadPooledFrame(); err != io.EOF {
+		t.Fatalf("end of stream: %v, want io.EOF", err)
+	}
+}
